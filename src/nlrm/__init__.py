@@ -48,6 +48,7 @@ from .projections import (
 from .solvers import (
     ApproximationResult,
     IterationTrace,
+    NmfResult,
     SolverConfig,
     TraceRecord,
     ap_solve,
@@ -55,6 +56,7 @@ from .solvers import (
     nmf_hals_solve,
     nmf_mu_solve,
     relative_error,
+    solve,
     tap_solve,
 )
 
@@ -68,6 +70,7 @@ __all__ = [
     "InsufficientDataError",
     "IterationTrace",
     "NlrmError",
+    "NmfResult",
     "NumericError",
     "OpLog",
     "ParseError",
@@ -97,6 +100,7 @@ __all__ = [
     "relative_error",
     "retract_to_rank",
     "run_bench",
+    "solve",
     "table1_grid",
     "tangent_project_dense",
     "tangent_project_structured",

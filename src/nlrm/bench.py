@@ -1,16 +1,12 @@
 """Benchmark harness over the synthetic uniform matrices.
 
 A grid cell is (size, rank, method).  Every trial regenerates the input
-from a derived seed; NMF methods additionally run a configurable number
-of random restarts per trial and report the spread.  Cells are pure
-functions of (grid, seed), so they can be dispatched to worker threads —
-capped by the ``NLRM_THREADS`` environment variable — without changing
-any result.  Timing cells in parallel on a busy machine inflates wall
-times; the default is serial.
+from a derived seed; the seeded NMF methods additionally run a
+configurable number of random restarts per trial and report the spread.
+Cells run one after another and are pure functions of (grid, seed), so a
+report's errors are reproducible bit for bit; only wall times vary.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from statistics import mean, median
 from typing import Optional
@@ -18,9 +14,8 @@ from typing import Optional
 from .datagen import gen_uniform
 from .errors import NlrmError
 from .rng import derive_seed
-from .solvers import SolverConfig, ap_solve, nmf_hals_solve, nmf_mu_solve, tap_solve
+from .solvers import METHODS, SolverConfig, solve
 
-METHODS = ("tap", "ap", "mu", "hals")
 TABLE1_SIZES = (200, 400, 800)
 REPORT_SCHEMA = 1
 
@@ -84,7 +79,6 @@ def run_bench(
     tol: float = 1e-6,
     max_iter: int = 500,
     suite: str = "custom",
-    max_workers: Optional[int] = None,
 ) -> BenchReport:
     """Run the requested methods over ``grid`` and aggregate per cell.
 
@@ -97,47 +91,33 @@ def run_bench(
     if trials < 1 or restarts < 1:
         raise ValueError("trials and restarts must be >= 1")
 
-    tasks = [(n, rank, method) for (n, rank) in grid for method in methods]
-    if max_workers is None:
-        max_workers = max(1, int(os.environ.get("NLRM_THREADS", "1")))
-
-    def run(task):
-        n, rank, method = task
-        return _run_cell(n, rank, method, trials, restarts, seed, tol, max_iter)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            cells = list(pool.map(run, tasks))
-    else:
-        cells = [run(task) for task in tasks]
+    cells = [
+        _run_cell(n, rank, method, trials, restarts, seed, tol, max_iter)
+        for (n, rank) in grid
+        for method in methods
+    ]
     return BenchReport(schema=REPORT_SCHEMA, suite=suite, seed=seed, cells=cells)
 
 
 def _run_cell(n, rank, method, trials, restarts, seed, tol, max_iter):
     cell = BenchCell(family="uniform", m=n, n=n, rank=rank, method=method)
+    # only the NMF methods consume the seed, so only they are restarted
+    runs = restarts if method in ("mu", "hals") else 1
     errors = []
     seconds = []
     try:
         for trial in range(trials):
             a = gen_uniform(n, n, derive_seed(seed, trial))
-            if method in ("tap", "ap"):
-                cfg = SolverConfig(rank=rank, max_iter=max_iter, rel_change_tol=tol)
-                solve = tap_solve if method == "tap" else ap_solve
-                result = solve(a, cfg)
+            for restart in range(runs):
+                cfg = SolverConfig(
+                    rank=rank,
+                    max_iter=max_iter,
+                    rel_change_tol=tol,
+                    seed=derive_seed(seed, 1000 + trial * restarts + restart),
+                )
+                result = solve(method, a, cfg)
                 errors.append(result.rel_error_x)
                 seconds.append(result.trace.seconds)
-            else:
-                solve = nmf_mu_solve if method == "mu" else nmf_hals_solve
-                for restart in range(restarts):
-                    cfg = SolverConfig(
-                        rank=rank,
-                        max_iter=max_iter,
-                        rel_change_tol=tol,
-                        seed=derive_seed(seed, 1000 + trial * restarts + restart),
-                    )
-                    _, _, trace = solve(a, cfg)
-                    errors.append(trace.records[-1].rel_error)
-                    seconds.append(trace.seconds)
     except NlrmError as exc:
         cell.error = f"{type(exc).__name__}: {exc}"
         return cell
@@ -147,7 +127,7 @@ def _run_cell(n, rank, method, trials, restarts, seed, tol, max_iter):
     cell.mean_seconds = mean(seconds)
     cell.median_seconds = median(seconds)
     cell.trials = trials
-    cell.restarts = restarts if method in ("mu", "hals") else 1
+    cell.restarts = runs
     return cell
 
 

@@ -20,16 +20,7 @@ from .datagen import (
     gen_uniform,
 )
 from .errors import DomainError, InsufficientDataError, NumericError, ParseError, ShapeError
-from .linalg import matmul
-from .solvers import (
-    SolverConfig,
-    ap_solve,
-    contraction_rate_estimate,
-    nmf_hals_solve,
-    nmf_mu_solve,
-    relative_error,
-    tap_solve,
-)
+from .solvers import METHODS, SolverConfig, contraction_rate_estimate, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_approx = sub.add_parser("approx", help="approximate a matrix file")
     p_approx.add_argument("input", help="matrix file (.csv or .mtx)")
-    p_approx.add_argument("--method", choices=["tap", "ap", "mu", "hals"], default="tap")
+    p_approx.add_argument("--method", choices=METHODS, default="tap")
     p_approx.add_argument("--rank", type=int, required=True)
     p_approx.add_argument("--tol", type=float, default=1e-6)
     p_approx.add_argument("--max-iter", type=int, default=1000)
@@ -59,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", type=int, nargs="+", help="square matrix sizes")
     p_bench.add_argument("--ranks", type=int, nargs="+", help="ranks (with --sizes)")
     p_bench.add_argument("--scale", type=float, default=1.0, help="shrink suite sizes")
-    p_bench.add_argument("--methods", nargs="+", default=list(bench_mod.METHODS))
+    p_bench.add_argument("--methods", nargs="+", choices=METHODS, default=list(METHODS))
     p_bench.add_argument("--trials", type=int, default=1)
     p_bench.add_argument("--restarts", type=int, default=10)
     p_bench.add_argument("--seed", type=int, default=0)
@@ -93,33 +84,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_approx(args) -> int:
-    if args.rank < 1:
-        return _usage_error(f"--rank must be >= 1, got {args.rank}")
-    if args.tol <= 0:
-        return _usage_error(f"--tol must be > 0, got {args.tol}")
+    # SolverConfig accepts max_iter = 0 (NMF initialization only); the CLI does not
     if args.max_iter < 1:
         return _usage_error(f"--max-iter must be >= 1, got {args.max_iter}")
-    a = matio.read_matrix(args.input, matio.format_for_path(args.input))
     cfg = SolverConfig(
         rank=args.rank,
         max_iter=args.max_iter,
         rel_change_tol=args.tol,
         seed=args.seed,
     )
-    if args.method in ("tap", "ap"):
-        solve = tap_solve if args.method == "tap" else ap_solve
-        result = solve(a, cfg)
-        approx = result.y
-        record = matio.result_record(args.method, args.rank, result)
-    else:
-        solve = nmf_mu_solve if args.method == "mu" else nmf_hals_solve
-        b, c, trace = solve(a, cfg)
-        approx = matmul(b, c)
-        record = matio.nmf_result_record(
-            args.method, args.rank, relative_error(a, approx), trace
-        )
+    a = matio.read_matrix(args.input, matio.format_for_path(args.input))
+    result = solve(args.method, a, cfg)
+    record = matio.result_record(args.method, args.rank, result)
     if args.output:
-        matio.write_matrix(approx, args.output, matio.format_for_path(args.output))
+        matio.write_matrix(result.y, args.output, matio.format_for_path(args.output))
     if args.trace:
         matio.write_json(record, args.trace)
     print(
@@ -131,9 +109,6 @@ def cmd_approx(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    for method in args.methods:
-        if method not in bench_mod.METHODS:
-            return _usage_error(f"unknown method {method!r}")
     if args.suite == "table1":
         grid = bench_mod.table1_grid(scale=args.scale, sizes=args.sizes)
         suite = "table1"

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ParseError
 from .linalg import as_matrix
-from .solvers import ApproximationResult, IterationTrace
+from .solvers import IterationTrace
 
 RESULT_SCHEMA = 1
 
@@ -146,8 +146,8 @@ def _parse_value(token, path, lineno):
     return value
 
 
-def result_record(method: str, rank: int, result: ApproximationResult) -> dict:
-    """JSON-ready record of a projection solver result."""
+def result_record(method: str, rank: int, result) -> dict:
+    """JSON-ready record of a solver result (``ApproximationResult`` or ``NmfResult``)."""
     return {
         "schema": RESULT_SCHEMA,
         "method": method,
@@ -159,22 +159,6 @@ def result_record(method: str, rank: int, result: ApproximationResult) -> dict:
         "converged": result.converged,
         "degenerate_rank": result.degenerate_rank,
         "trace": result.trace.to_dicts(),
-    }
-
-
-def nmf_result_record(method: str, rank: int, rel_error: float, trace: IterationTrace) -> dict:
-    """JSON-ready record of an NMF run (factors approximate, so x == y)."""
-    return {
-        "schema": RESULT_SCHEMA,
-        "method": method,
-        "rank": rank,
-        "rel_error_x": rel_error,
-        "rel_error_y": rel_error,
-        "iters": len(trace),
-        "seconds": trace.seconds,
-        "converged": True,
-        "degenerate_rank": False,
-        "trace": trace.to_dicts(),
     }
 
 

@@ -1,12 +1,14 @@
 """Iteration drivers for nonnegative low-rank approximation.
 
-Two projection solvers share one loop: ``ap_solve`` projects back onto
-the fixed-rank manifold with a full SVD of the dense iterate every step,
+All four solvers run one loop (``_iterate``) and differ only in their
+initialization and update.  ``ap_solve`` projects back onto the
+fixed-rank manifold with a full SVD of the dense iterate every step,
 while ``tap_solve`` projects onto the tangent space at the previous
 iterate first and retracts through a 2r x 2r core, so the only full-size
 SVD is the initialization.  Both then clamp at zero.  NMF baselines
 (multiplicative updates and HALS) and the empirical contraction-rate
-estimator round out the comparison tooling.
+estimator round out the comparison tooling; ``solve`` runs any solver
+by name.
 """
 
 import math
@@ -75,9 +77,14 @@ class TraceRecord(NamedTuple):
 
 @dataclass
 class IterationTrace:
-    """Per-iteration error/time records of a solver run."""
+    """Per-iteration error/time records of a solver run.
+
+    ``converged`` is set by the solver loop when its stopping rule, not
+    ``max_iter`` or ``time_limit``, ended the run.
+    """
 
     records: list = field(default_factory=list)
+    converged: bool = False
 
     def append(self, record: TraceRecord) -> None:
         if self.records and record.iteration <= self.records[-1].iteration:
@@ -132,8 +139,38 @@ class ApproximationResult:
     rel_error_x: float
     rel_error_y: float
     trace: IterationTrace
-    converged: bool
     degenerate_rank: bool
+
+    @property
+    def converged(self) -> bool:
+        return self.trace.converged
+
+
+class NmfResult(NamedTuple):
+    """Factors and trace of an NMF run; unpacks as ``(b, c, trace)``.
+
+    Reads like :class:`ApproximationResult`: the approximation ``y`` is
+    ``b @ c``, nonnegative already, so both errors are its error.
+    """
+
+    b: np.ndarray
+    c: np.ndarray
+    trace: IterationTrace
+    degenerate_rank = False
+
+    @property
+    def y(self) -> np.ndarray:
+        return matmul(self.b, self.c)
+
+    @property
+    def rel_error_x(self) -> float:
+        return self.trace.records[-1].rel_error
+
+    rel_error_y = rel_error_x
+
+    @property
+    def converged(self) -> bool:
+        return self.trace.converged
 
 
 def relative_error(a: np.ndarray, x_reconstruction: np.ndarray) -> float:
@@ -159,7 +196,7 @@ def ap_solve(
     rank r of A``.  ``on_iterate(k, x_dense, y)``, when given, is called
     after every iteration (used by tests to inspect iterates).
     """
-    return _alternating_solve(a, cfg, use_tangent=False, on_iterate=on_iterate)
+    return _project_solve(a, cfg, use_tangent=False, on_iterate=on_iterate)
 
 
 def tap_solve(
@@ -173,90 +210,56 @@ def tap_solve(
     the tangent space at X (two thin QRs) and retracts via the SVD of the
     2r x 2r core, so no further m x n SVD is performed.
     """
-    return _alternating_solve(a, cfg, use_tangent=True, on_iterate=on_iterate)
+    return _project_solve(a, cfg, use_tangent=True, on_iterate=on_iterate)
 
 
-def _alternating_solve(a, cfg, use_tangent, on_iterate):
-    a = as_matrix(a, "input matrix")
+def _project_solve(a, cfg, use_tangent, on_iterate):
     if cfg.max_iter < 1:
         raise DomainError("projection solvers need max_iter >= 1")
-    m, n = a.shape
     r = cfg.rank
-    if r > min(m, n):
-        raise ShapeError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
-    if (a < 0).any():
-        warnings.warn(
-            "input matrix has negative entries; proceeding anyway",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    norm_a = frobenius_norm(a)
-    if norm_a == 0.0:
-        raise DomainError("cannot approximate a zero matrix (relative error undefined)")
+    x = y = None
 
-    eps = float(np.finfo(np.float64).eps)
-    trace = IterationTrace()
-    elapsed = 0.0
-
-    tic = perf_counter()
-    x = project_fixed_rank(a, r)
-    x_dense = x.reconstruct()
-    y = project_nonnegative(x_dense)
-    err = frobenius_norm(a - x_dense) / norm_a
-    elapsed += perf_counter() - tic
-    trace.append(TraceRecord(1, err, elapsed, float(x_dense.min())))
-    if on_iterate is not None:
-        on_iterate(1, x_dense, y)
-
-    converged = err < FIXED_POINT_TOL
-    k = 1
-    while not converged and k < cfg.max_iter:
-        if cfg.time_limit is not None and elapsed >= cfg.time_limit:
-            break
-        k += 1
-        tic = perf_counter()
-        if use_tangent:
-            frame = TangentFrame(x.u, x.v)
-            if 2 * r > min(m, n):
-                # [U Q] cannot have 2r orthonormal columns here; fall back
-                # to the dense evaluation of the same operator.
-                x = project_fixed_rank(tangent_project_dense(frame, y), r)
-            else:
-                x = retract_to_rank(tangent_project_structured(frame, y), r)
-        else:
+    def step(a, k):
+        nonlocal x, y
+        m, n = a.shape
+        if k == 1:
+            if r > min(m, n):
+                raise ShapeError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
+            x = project_fixed_rank(a, r)
+        elif not use_tangent:
             x = project_fixed_rank(y, r)
+        elif 2 * r > min(m, n):
+            # [U Q] cannot have 2r orthonormal columns here; fall back
+            # to the dense evaluation of the same operator.
+            x = project_fixed_rank(tangent_project_dense(TangentFrame(x.u, x.v), y), r)
+        else:
+            x = retract_to_rank(tangent_project_structured(TangentFrame(x.u, x.v), y), r)
         x_dense = x.reconstruct()
         y = project_nonnegative(x_dense)
-        prev = err
-        err = frobenius_norm(a - x_dense) / norm_a
-        elapsed += perf_counter() - tic
-        trace.append(TraceRecord(k, err, elapsed, float(x_dense.min())))
-        if on_iterate is not None:
-            on_iterate(k, x_dense, y)
-        if err < FIXED_POINT_TOL or abs(err - prev) / max(err, eps) < cfg.rel_change_tol:
-            converged = True
+        return x_dense
 
-    degenerate = bool(x.s[0] == 0.0 or x.s[-1] <= 1e-13 * x.s[0])
+    hook = None if on_iterate is None else (lambda k, x_dense: on_iterate(k, x_dense, y))
+    a, norm_a, trace = _iterate(a, cfg, 1, step, hook)
     return ApproximationResult(
         x=x,
         y=y,
-        rel_error_x=float(err),
-        rel_error_y=float(frobenius_norm(a - y) / norm_a),
+        rel_error_x=trace.records[-1].rel_error,
+        rel_error_y=frobenius_norm(a - y) / norm_a,
         trace=trace,
-        converged=converged,
-        degenerate_rank=degenerate,
+        degenerate_rank=bool(x.s[0] == 0.0 or x.s[-1] <= 1e-13 * x.s[0]),
     )
 
 
 _NMF_EPS = 1e-12  # additive guard against zero denominators
 
 
-def nmf_mu_solve(a: np.ndarray, cfg: SolverConfig):
+def nmf_mu_solve(a: np.ndarray, cfg: SolverConfig) -> NmfResult:
     """Multiplicative-update NMF for ``a ~ b @ c`` with b, c >= 0.
 
     One run from the uniform(0, 1) initialization drawn from ``cfg.seed``;
-    restart protocols live in the benchmark harness.  Returns
-    ``(b, c, trace)``; the trace records the initialization as iteration 0.
+    restart protocols live in the benchmark harness.  Returns an
+    :class:`NmfResult` ``(b, c, trace)``; the trace records the
+    initialization as iteration 0.
     """
 
     def update(a_mat, b, c):
@@ -266,7 +269,7 @@ def nmf_mu_solve(a: np.ndarray, cfg: SolverConfig):
     return _nmf_solve(a, cfg, update)
 
 
-def nmf_hals_solve(a: np.ndarray, cfg: SolverConfig):
+def nmf_hals_solve(a: np.ndarray, cfg: SolverConfig) -> NmfResult:
     """Hierarchical ALS NMF: cyclic column/row updates clamped at zero.
 
     Same calling convention as :func:`nmf_mu_solve`.
@@ -290,45 +293,81 @@ def nmf_hals_solve(a: np.ndarray, cfg: SolverConfig):
 
 
 def _nmf_solve(a, cfg, update):
-    a = as_matrix(a, "input matrix")
     if cfg.seed is None:
         raise DomainError("NMF initialization requires cfg.seed")
+    b = c = None
+
+    def step(a, k):
+        nonlocal b, c
+        if k == 0:
+            m, n = a.shape
+            r = cfg.rank
+            draws = random_uniform(cfg.seed, m * r + r * n)
+            b = draws[: m * r].reshape(m, r).copy()
+            c = draws[m * r :].reshape(r, n).copy()
+        else:
+            update(a, b, c)
+        return matmul(b, c)
+
+    _, _, trace = _iterate(a, cfg, 0, step)
+    return NmfResult(b, c, trace)
+
+
+def _iterate(a, cfg, first, step, on_iterate=None):
+    """The iteration loop every solver runs.
+
+    ``step(a, k)`` returns the dense iterate of iteration ``k``: the
+    initialization at ``k == first``, one update after that.  Each
+    iteration is timed and traced; the run ends at ``cfg.max_iter``, at
+    ``cfg.time_limit`` (checked before each update), or on the stopping
+    rule, which alone marks the trace ``converged``.  Returns the validated
+    input, its Frobenius norm and the trace.
+    """
+    a = as_matrix(a, "input matrix")
     if (a < 0).any():
         warnings.warn(
             "input matrix has negative entries; proceeding anyway",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of the public solver
         )
-    m, n = a.shape
-    r = cfg.rank
     norm_a = frobenius_norm(a)
     if norm_a == 0.0:
-        raise DomainError("cannot factorize a zero matrix (relative error undefined)")
-
-    draws = random_uniform(cfg.seed, m * r + r * n)
-    b = draws[: m * r].reshape(m, r).copy()
-    c = draws[m * r :].reshape(r, n).copy()
+        raise DomainError("cannot approximate a zero matrix (relative error undefined)")
 
     eps = float(np.finfo(np.float64).eps)
     trace = IterationTrace()
     elapsed = 0.0
-    bc = matmul(b, c)
-    err = frobenius_norm(a - bc) / norm_a
-    trace.append(TraceRecord(0, err, 0.0, float(bc.min())))
-
-    for k in range(1, cfg.max_iter + 1):
-        tic = perf_counter()
-        update(a, b, c)
-        bc = matmul(b, c)
-        prev = err
-        err = frobenius_norm(a - bc) / norm_a
-        elapsed += perf_counter() - tic
-        trace.append(TraceRecord(k, err, elapsed, float(bc.min())))
-        if err < FIXED_POINT_TOL or abs(err - prev) / max(err, eps) < cfg.rel_change_tol:
-            break
+    prev = math.inf  # the initialization has no relative change to test
+    for k in range(first, cfg.max_iter + 1):
         if cfg.time_limit is not None and elapsed >= cfg.time_limit:
             break
-    return b, c, trace
+        tic = perf_counter()
+        dense = step(a, k)
+        err = frobenius_norm(a - dense) / norm_a
+        elapsed += perf_counter() - tic
+        trace.append(TraceRecord(k, err, elapsed, float(dense.min())))
+        if on_iterate is not None:
+            on_iterate(k, dense)
+        if err < FIXED_POINT_TOL or abs(err - prev) / max(err, eps) < cfg.rel_change_tol:
+            trace.converged = True
+            break
+        prev = err
+    return a, norm_a, trace
+
+
+METHODS = ("tap", "ap", "mu", "hals")
+
+
+def solve(method: str, a: np.ndarray, cfg: SolverConfig):
+    """Run the solver named ``method`` (one of :data:`METHODS`) on ``a``.
+
+    The solver functions are looked up at call time, so a module attribute
+    rebound by a profiler is the one that runs.
+    """
+    solvers = {"tap": tap_solve, "ap": ap_solve, "mu": nmf_mu_solve, "hals": nmf_hals_solve}
+    if method not in solvers:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return solvers[method](a, cfg)
 
 
 def contraction_rate_estimate(trace: IterationTrace, tail_fraction: float):

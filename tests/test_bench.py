@@ -43,7 +43,7 @@ class TestRunBench:
             methods=("tap", "mu"), trials=2, restarts=2, seed=4, max_iter=40
         )
         r1 = run_bench([(25, 2), (20, 3)], **kwargs)
-        r2 = run_bench([(25, 2), (20, 3)], max_workers=3, **kwargs)
+        r2 = run_bench([(25, 2), (20, 3)], **kwargs)
         for c1, c2 in zip(r1.cells, r2.cells):
             assert c1.mean_rel_error == c2.mean_rel_error
             assert c1.min_rel_error == c2.min_rel_error

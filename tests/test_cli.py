@@ -7,7 +7,7 @@ import pytest
 
 from nlrm import gen_uniform, write_matrix
 from nlrm.cli import main
-from nlrm.solvers import IterationTrace, TraceRecord
+from nlrm.solvers import METHODS, IterationTrace, SolverConfig, TraceRecord, solve
 
 
 def write_rank2_matrix(path):
@@ -70,17 +70,32 @@ class TestApprox:
         r2 = strip_timing(json.loads((tmp_path / "r_two.json").read_text()))
         assert r1 == r2
 
-    def test_matches_library_call(self, tmp_path):
-        from nlrm import SolverConfig, tap_solve
-
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_library_call(self, tmp_path, method):
         src = tmp_path / "a.csv"
         a = write_rank2_matrix(src)
-        main(["approx", str(src), "--rank", "2", "--tol", "1e-8",
-              "--max-iter", "50", "--output", str(tmp_path / "y.csv")])
-        lib = tap_solve(a, SolverConfig(rank=2, max_iter=50, rel_change_tol=1e-8))
+        main(["approx", str(src), "--method", method, "--rank", "2", "--tol", "1e-8",
+              "--max-iter", "50", "--seed", "3", "--output", str(tmp_path / "y.csv")])
+        lib = solve(method, a, SolverConfig(rank=2, max_iter=50, rel_change_tol=1e-8, seed=3))
         out_path = tmp_path / "lib.csv"
         write_matrix(lib.y, out_path, "csv")
         assert out_path.read_bytes() == (tmp_path / "y.csv").read_bytes()
+
+    def test_capped_nmf_run_not_converged(self, tmp_path):
+        src = tmp_path / "a.csv"
+        write_matrix(gen_uniform(20, 15, 2), src, "csv")
+        rc = main(["approx", str(src), "--method", "mu", "--rank", "3",
+                   "--max-iter", "3", "--trace", str(tmp_path / "r.json")])
+        assert rc == 0
+        record = json.loads((tmp_path / "r.json").read_text())
+        assert record["schema"] == 1
+        assert record["iters"] == 4  # the initialization and three updates
+        assert record["converged"] is False
+
+    def test_nonpositive_tol_usage_error(self, tmp_path):
+        src = tmp_path / "a.csv"
+        write_rank2_matrix(src)
+        assert main(["approx", str(src), "--rank", "1", "--tol", "0"]) == 2
 
 
 class TestGen:
@@ -146,6 +161,12 @@ class TestBench:
         rc = main(["bench", "--sizes", "10", "--ranks", "40",
                    "--output", str(tmp_path / "rep.json")])
         assert rc == 2
+
+    def test_unknown_method(self, tmp_path):
+        rc = main(["bench", "--sizes", "10", "--ranks", "2", "--methods", "magic",
+                   "--output", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert not (tmp_path / "rep.json").exists()
 
 
 class TestDiag:

@@ -21,10 +21,12 @@ from nlrm import (
     project_fixed_rank,
     project_nonnegative,
     relative_error,
+    solve,
     tangent_project_dense,
     tap_solve,
 )
 from nlrm.rng import random_uniform
+from nlrm.solvers import METHODS
 
 
 def low_rank_nonnegative(m, n, r, seed):
@@ -90,14 +92,20 @@ class TestApSolve:
         secs = [rec.seconds for rec in res.trace.records]
         assert all(b >= a_ for a_, b in zip(secs, secs[1:]))
 
-    def test_time_limit_stops_early(self):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_time_limit_stops_early(self, method):
         from nlrm import gen_graph_similarity
 
         a = gen_graph_similarity(gen_uniform(120, 2, 30) * 5.0)
-        cfg = SolverConfig(rank=3, max_iter=100_000, rel_change_tol=1e-300, time_limit=0.05)
-        res = ap_solve(a, cfg)
+        # HALS reaches an exact fixed point (zero relative change) within
+        # about 10 ms here, so the limit must run out before the first
+        # update, which it checks for: no initialization takes under 1 us.
+        cfg = SolverConfig(
+            rank=3, max_iter=100_000, rel_change_tol=1e-300, time_limit=1e-6, seed=0
+        )
+        res = solve(method, a, cfg)
         assert not res.converged
-        assert len(res.trace) < 100_000
+        assert len(res.trace) == 1
 
 
 class TestTapSolve:
