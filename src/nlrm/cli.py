@@ -169,7 +169,8 @@ def cmd_gen(args) -> int:
         points = matio.read_matrix(args.points, matio.format_for_path(args.points))
         matrix = gen_graph_similarity(points)
     matio.write_matrix(matrix, args.out, matio.format_for_path(args.out))
-    digest = hashlib.sha256(open(args.out, "rb").read()).hexdigest()
+    with open(args.out, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     print(f"{matrix.shape[0]}x{matrix.shape[1]} sha256={digest}")
     return EXIT_OK
 
@@ -206,10 +207,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, DomainError, ShapeError, json.JSONDecodeError) as exc:
+    except (OSError, ParseError, DomainError, ShapeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ShapeError
 from .linalg import as_matrix
 from .solvers import IterationTrace
 
@@ -27,6 +27,11 @@ _MM_BANNER = "%%MatrixMarket matrix array real general"
 def write_matrix(m, path, format: str = CSV) -> None:
     """Write a matrix to ``path`` in the given format."""
     m = as_matrix(m, "matrix")
+    if 0 in m.shape:
+        # neither format's reader accepts an empty matrix, so the round trip would break
+        raise ShapeError(
+            f"cannot write a {m.shape[0]}x{m.shape[1]} matrix; both dimensions must be positive"
+        )
     if format == CSV:
         _write_csv(m, path)
     elif format == MATRIX_MARKET:
@@ -38,10 +43,15 @@ def write_matrix(m, path, format: str = CSV) -> None:
 def read_matrix(path, format: str = CSV) -> np.ndarray:
     """Read a matrix from ``path``; parse errors name the offending line."""
     if format == CSV:
-        return _read_csv(path)
-    if format == MATRIX_MARKET:
-        return _read_matrix_market(path)
-    raise ParseError(f"unknown format {format!r}; expected one of {_FORMATS}")
+        reader = _read_csv
+    elif format == MATRIX_MARKET:
+        reader = _read_matrix_market
+    else:
+        raise ParseError(f"unknown format {format!r}; expected one of {_FORMATS}")
+    try:
+        return reader(path)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not a UTF-8 text file") from None
 
 
 def format_for_path(path) -> str:
@@ -49,17 +59,22 @@ def format_for_path(path) -> str:
     return MATRIX_MARKET if str(path).lower().endswith(".mtx") else CSV
 
 
+# Writers format one row (CSV) or one column (MatrixMarket) per ``%`` call
+# from Python floats: the same "%.17g" per value, so the bytes do not depend
+# on the grouping, and only one row's or column's text is held at a time.
+
 def _write_csv(m, path):
+    template = ",".join(["%.17g"] * m.shape[1]) + "\n"
     with open(path, "w") as fh:
         for row in m:
-            fh.write(",".join("%.17g" % val for val in row))
-            fh.write("\n")
+            fh.write(template % tuple(row.tolist()))
 
 
 def _read_csv(path):
-    rows = []
+    rows = None             # grown by doubling; the first ``nrows`` are filled
+    nrows = 0
     width = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -67,29 +82,41 @@ def _read_csv(path):
             fields = line.split(",")
             if width is None:
                 width = len(fields)
+                rows = np.empty((64, width))
             elif len(fields) != width:
                 raise ParseError(
                     f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
                 )
-            rows.append([_parse_value(tok, path, lineno) for tok in fields])
-    if not rows:
+            if nrows == len(rows):
+                rows = np.concatenate([rows, np.empty_like(rows)])
+            values = _floats(fields)
+            if values is None:
+                values = [_parse_value(tok, path, lineno) for tok in fields]
+            rows[nrows] = values
+            nrows += 1
+    if not nrows:
         raise ParseError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64)
+    return rows[:nrows].copy()
 
 
 def _write_matrix_market(m, path):
     rows, cols = m.shape
+    template = "%.17g\n" * rows
     with open(path, "w") as fh:
         fh.write(_MM_BANNER + "\n")
         fh.write(f"{rows} {cols}\n")
-        for j in range(cols):       # array format is column-major
-            for i in range(rows):
-                fh.write("%.17g\n" % m[i, j])
+        for col in m.T:             # array format is column-major
+            fh.write(template % tuple(col.tolist()))
 
 
 def _read_matrix_market(path):
-    with open(path) as fh:
-        lines = fh.readlines()
+    with open(path, encoding="utf-8") as fh:
+        lines = []              # banner, "%" comment lines, size line
+        for line in iter(fh.readline, ""):
+            lines.append(line)
+            if not line.lstrip().startswith("%"):
+                break
+        body = fh.read()
     if not lines:
         raise ParseError(f"{path}: empty file")
     banner = lines[0].strip().split()
@@ -107,7 +134,6 @@ def _read_matrix_market(path):
     if symmetry != "general":
         raise ParseError(f"{path}: line 1: unsupported symmetry {symmetry!r}")
 
-    lineno = 1
     idx = 1
     while idx < len(lines) and lines[idx].lstrip().startswith("%"):
         idx += 1
@@ -125,15 +151,34 @@ def _read_matrix_market(path):
     if rows < 1 or cols < 1:
         raise ParseError(f"{path}: line {idx + 1}: dimensions must be positive")
 
-    values = []
-    for lineno in range(idx + 1, len(lines)):
-        for tok in lines[lineno].split():
-            values.append(_parse_value(tok, path, lineno + 1))
-    if len(values) != rows * cols:
-        raise ParseError(
-            f"{path}: expected {rows * cols} values, found {len(values)}"
-        )
-    return np.array(values, dtype=np.float64).reshape(cols, rows).T
+    tokens = body.split()
+    values = _floats(tokens) if len(tokens) == rows * cols else None
+    if values is None:
+        # a bad token is reported before a wrong count, with its line number
+        values = []
+        for lineno, text in enumerate(body.split("\n"), start=idx + 2):
+            for tok in text.split():
+                values.append(_parse_value(tok, path, lineno))
+        if len(values) != rows * cols:
+            raise ParseError(
+                f"{path}: expected {rows * cols} values, found {len(values)}"
+            )
+        values = np.array(values, dtype=np.float64)
+    return values.reshape(cols, rows).T
+
+
+def _floats(tokens):
+    """All ``tokens`` as float64 in one pass, or None if one is not a finite number.
+
+    Python's ``float`` is the grammar ``_parse_value`` applies, so this accepts
+    exactly the tokens it accepts; on None, callers rerun ``_parse_value`` per
+    token for its line-numbered message.
+    """
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def _parse_value(token, path, lineno):

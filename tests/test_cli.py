@@ -1,6 +1,8 @@
 """Command-line surface: flows, exit codes, determinism, thin-shell parity."""
 
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +99,17 @@ class TestApprox:
         write_rank2_matrix(src)
         assert main(["approx", str(src), "--rank", "1", "--tol", "0"]) == 2
 
+    def test_directory_input_usage_error(self, tmp_path, capsys):
+        assert main(["approx", str(tmp_path), "--rank", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_non_utf8_input_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "latin1.csv"
+        src.write_bytes(b"1,2\n3,\xe9\n")
+        assert main(["approx", str(src), "--rank", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {src}: not a UTF-8 text file\n"
+
 
 class TestGen:
     def test_uniform_checksum_deterministic(self, tmp_path, capsys):
@@ -108,6 +121,15 @@ class TestGen:
             lines.append(capsys.readouterr().out.strip())
         assert lines[0] == lines[1]
         assert "sha256=" in lines[0]
+
+    def test_output_file_closed_after_hashing(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["gen", "--family", "uniform", "--m", "3", "--n", "3",
+                       "--out", str(tmp_path / "u.csv")])
+            gc.collect()
+        assert rc == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_separable_rank20_residual(self, tmp_path, capsys):
         rc = main(["gen", "--family", "separable_case1", "--sigma", "0",

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nlrm import ParseError, gen_uniform, read_matrix, write_matrix
+from nlrm import ParseError, ShapeError, gen_uniform, read_matrix, write_matrix
 from nlrm.matio import format_for_path, read_trace
 
 
@@ -138,3 +138,255 @@ class TestTraceIo:
         path.write_text(json.dumps({"trace": []}))
         with pytest.raises(ParseError):
             read_trace(path)
+
+
+# Reference oracles for the one-pass readers and row-template writers: the
+# per-token parser and per-value "%.17g" writer they replaced, kept verbatim.
+
+def oracle_write_csv(m, path):
+    with open(path, "w") as fh:
+        for row in m:
+            fh.write(",".join("%.17g" % val for val in row))
+            fh.write("\n")
+
+
+def oracle_read_csv(path):
+    rows = []
+    width = None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise ParseError(
+                    f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
+                )
+            rows.append([oracle_parse_value(tok, path, lineno) for tok in fields])
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return np.array(rows, dtype=np.float64)
+
+
+def oracle_write_matrix_market(m, path):
+    rows, cols = m.shape
+    with open(path, "w") as fh:
+        fh.write("%%MatrixMarket matrix array real general\n")
+        fh.write(f"{rows} {cols}\n")
+        for j in range(cols):
+            for i in range(rows):
+                fh.write("%.17g\n" % m[i, j])
+
+
+def oracle_read_matrix_market(path):
+    with open(path) as fh:
+        lines = fh.readlines()
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    banner = lines[0].strip().split()
+    if len(banner) != 5 or banner[0] != "%%MatrixMarket":
+        raise ParseError(f"{path}: line 1: not a MatrixMarket header")
+    obj, fmt, field, symmetry = (tok.lower() for tok in banner[1:])
+    if obj != "matrix":
+        raise ParseError(f"{path}: line 1: unsupported object {obj!r}")
+    if fmt != "array":
+        raise ParseError(
+            f"{path}: line 1: only dense 'array' format is supported, got {fmt!r}"
+        )
+    if field != "real":
+        raise ParseError(f"{path}: line 1: unsupported field {field!r}")
+    if symmetry != "general":
+        raise ParseError(f"{path}: line 1: unsupported symmetry {symmetry!r}")
+
+    idx = 1
+    while idx < len(lines) and lines[idx].lstrip().startswith("%"):
+        idx += 1
+    if idx >= len(lines):
+        raise ParseError(f"{path}: missing size line")
+    size_tokens = lines[idx].split()
+    if len(size_tokens) != 2:
+        raise ParseError(
+            f"{path}: line {idx + 1}: size line must be 'rows cols', got {lines[idx]!r}"
+        )
+    try:
+        rows, cols = int(size_tokens[0]), int(size_tokens[1])
+    except ValueError:
+        raise ParseError(f"{path}: line {idx + 1}: non-integer size entry") from None
+    if rows < 1 or cols < 1:
+        raise ParseError(f"{path}: line {idx + 1}: dimensions must be positive")
+
+    values = []
+    for lineno in range(idx + 1, len(lines)):
+        for tok in lines[lineno].split():
+            values.append(oracle_parse_value(tok, path, lineno + 1))
+    if len(values) != rows * cols:
+        raise ParseError(
+            f"{path}: expected {rows * cols} values, found {len(values)}"
+        )
+    return np.array(values, dtype=np.float64).reshape(cols, rows).T
+
+
+def oracle_parse_value(token, path, lineno):
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"{path}: line {lineno}: non-numeric token {token!r}") from None
+    if not np.isfinite(value):
+        raise ParseError(f"{path}: line {lineno}: non-finite value {token!r}")
+    return value
+
+
+ORACLES = {
+    "csv": (oracle_read_csv, oracle_write_csv),
+    "matrix_market_dense": (oracle_read_matrix_market, oracle_write_matrix_market),
+}
+
+EDGE_VALUES = np.array([
+    [-0.0, 0.0, 5e-324, -5e-324],
+    [2.2250738585072014e-308, 2.225073858507201e-308, 1e-310, -3.5e-320],
+    [1.7976931348623157e308, -1.7976931348623157e308, 1.0, -2.0],
+    [1e15, 4503599627370496.0, 9007199254740993.0, 0.1],
+    [123456789.0, -7.0, 1 / 3, 2.5e-8],
+])
+
+
+def random_bit_patterns(shape, seed):
+    """Finite float64 values drawn uniformly over bit patterns (all exponents)."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=shape, dtype=np.uint64)
+    values = bits.view(np.float64)
+    return np.where(np.isfinite(values), values, 0.5)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def oracle_message(reader, path):
+    with pytest.raises(ParseError) as info:
+        reader(path)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("fmt", sorted(ORACLES))
+class TestAgainstOracle:
+    @pytest.mark.parametrize("case", ["edges", "one_by_one", "random_bits", "uniform"])
+    def test_write_bytes_and_read_bits(self, tmp_path, fmt, case):
+        m = {
+            "edges": EDGE_VALUES,
+            "one_by_one": np.array([[5e-324]]),
+            "random_bits": random_bit_patterns((150, 7), 11),  # > 2 buffer doublings
+            "uniform": gen_uniform(30, 20, 4),
+        }[case]
+        oracle_read, oracle_write = ORACLES[fmt]
+        ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+        write_matrix(m, ours, fmt)
+        oracle_write(m, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
+        back = read_matrix(ours, fmt)
+        assert_same_bits(back, oracle_read(ours))
+        assert_same_bits(back, m)
+
+    def test_zero_size_rejected_on_write(self, tmp_path, fmt):
+        for shape in [(3, 0), (0, 3), (0, 0)]:
+            path = tmp_path / f"z{shape[0]}{shape[1]}"
+            with pytest.raises(ShapeError):
+                write_matrix(np.zeros(shape), path, fmt)
+            assert not path.exists()
+
+
+CSV_TEXTS = {
+    "crlf": "1,-0\r\n5e-324,1.7976931348623157e308\r\n",
+    "blank_lines": "\n1,2\n\n  \n3,4\n\n",
+    "grammar": " +1.5 ,.5,5.,1_0,-0.0,1E3\n2,3,4,5,6,7\n",
+    "one_by_one": "2.5\n",
+    "no_final_newline": "1,2\n3,4",
+    "cr_only": "1,2\r3,4\r",
+}
+
+MM_HEADER = "%%MatrixMarket matrix array real general\n"
+MM_TEXTS = {
+    "crlf": "%%MatrixMarket matrix array real general\r\n2 1\r\n-0\r\n5e-324\r\n",
+    "comments": MM_HEADER + "% one\n  % two\n%\n2 2\n1\n2\n3\n4\n",
+    "blank_and_shared_lines": MM_HEADER + "2 3\n\n1 2\n 3\t4 \n\n5\n6\n\n",
+    "grammar": MM_HEADER + "2 2\n+1.5\n.5\n1_0\n1E3\n",
+    "one_by_one": MM_HEADER + "1 1\n1.7976931348623157e308\n",
+    "upper_case_banner": "%%MatrixMarket MATRIX Array REAL General\n1 2\n1\n2",
+}
+
+
+class TestReadTextsAgainstOracle:
+    @pytest.mark.parametrize("name", sorted(CSV_TEXTS))
+    def test_csv(self, tmp_path, name):
+        path = tmp_path / "m.csv"
+        path.write_bytes(CSV_TEXTS[name].encode())
+        assert_same_bits(read_matrix(path, "csv"), oracle_read_csv(path))
+
+    @pytest.mark.parametrize("name", sorted(MM_TEXTS))
+    def test_matrix_market(self, tmp_path, name):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(MM_TEXTS[name].encode())
+        got = read_matrix(path, "matrix_market_dense")
+        want = oracle_read_matrix_market(path)
+        assert_same_bits(got, want)
+        assert got.strides == want.strides
+
+
+CSV_ERRORS = {
+    "bad_token_middle_line": "1,2\n3,oops\n5,6\n",
+    "nan": "1,2\nnan,4\n5,6\n",
+    "inf": "1,2\n3,-inf\n5,6\n",
+    "overflow": "1,2\n3,1e400\n5,6\n",
+    "ragged_row": "1,2\n3\n5,6\n",
+    "too_wide_row": "1,2\n3,4,5\n5,6\n",
+    "empty_field": "1,2\n3,\n5,6\n",
+    "bad_token_before_ragged_row": "1,2\n3,x\n5\n",
+    "second_bad_token_on_line": "1,2\n3,4\n5,6,\n",
+    "empty_file": "",
+    "blank_lines_only": "\n \n",
+}
+
+MM_ERRORS = {
+    "empty_file": "",
+    "bad_banner": "%%MatrixMarket matrix\n2 2\n",
+    "unsupported_field": "%%MatrixMarket matrix array complex general\n1 1\n1\n",
+    "bad_token_middle_line": MM_HEADER + "2 2\n1\noops\n3\n4\n",
+    "nan": MM_HEADER + "2 2\n1\n2\nnan\n4\n",
+    "inf": MM_HEADER + "2 2\n1\ninf\n3\n4\n",
+    "overflow": MM_HEADER + "2 2\n1\n2\n1e400\n4\n",
+    "empty_field": MM_HEADER + "2 2\n1\n3,\n3\n4\n",
+    "too_few_values": MM_HEADER + "2 2\n1\n2\n3\n",
+    "too_many_values": MM_HEADER + "2 2\n1\n2\n3\n4\n5\n",
+    "no_values": MM_HEADER + "2 2\n",
+    "bad_token_and_too_many": MM_HEADER + "2 2\n1\n2\n3\n4\n5 x\n",
+    "bad_token_and_too_few": MM_HEADER + "% c\n2 2\n1\n\n2 x\n",
+    "bad_token_after_crlf_and_cr": MM_HEADER + "2 2\r\n1\r\n\r2\rx\n4\n",
+    "comment_in_body": MM_HEADER + "1 1\n% late comment\n1\n",
+    "bad_size_line": MM_HEADER + "2\n1\n2\n",
+    "missing_size_line": MM_HEADER + "% only comments\n",
+    "non_integer_size": MM_HEADER + "2 x\n1\n",
+    "zero_size": MM_HEADER + "0 2\n",
+}
+
+
+class TestErrorsAgainstOracle:
+    @pytest.mark.parametrize("name", sorted(CSV_ERRORS))
+    def test_csv(self, tmp_path, name):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_ERRORS[name])
+        want = oracle_message(oracle_read_csv, path)
+        with pytest.raises(ParseError) as info:
+            read_matrix(path, "csv")
+        assert str(info.value) == want
+
+    @pytest.mark.parametrize("name", sorted(MM_ERRORS))
+    def test_matrix_market(self, tmp_path, name):
+        path = tmp_path / "bad.mtx"
+        path.write_text(MM_ERRORS[name])
+        want = oracle_message(oracle_read_matrix_market, path)
+        with pytest.raises(ParseError) as info:
+            read_matrix(path, "matrix_market_dense")
+        assert str(info.value) == want
