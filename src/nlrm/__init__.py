@@ -4,7 +4,8 @@ Approximates a nonnegative matrix by a nonnegative matrix of fixed rank r
 via alternating projections between the fixed-rank manifold and the
 nonnegative orthant.  The tangent-space variant (``tap_solve``) reaches
 the same accuracy as the direct method (``ap_solve``) while replacing the
-per-iteration full SVD with two thin QRs and a 2r x 2r SVD.  NMF
+per-iteration full SVD with two thin QRs and a 2r x 2r SVD, as long as
+2r <= min(m, n); above that rank each step runs a full SVD.  NMF
 baselines, dataset generators, matrix I/O and a benchmark harness are
 included; see the ``nlrm`` command-line tool.
 """

@@ -12,7 +12,7 @@ from statistics import mean, median
 from typing import Optional
 
 from .datagen import gen_uniform
-from .errors import NlrmError
+from .errors import DomainError, NlrmError
 from .rng import derive_seed
 from .solvers import METHODS, SolverConfig, solve
 
@@ -83,13 +83,17 @@ def run_bench(
     """Run the requested methods over ``grid`` and aggregate per cell.
 
     ``grid`` is a list of (size, rank) pairs; inputs are square uniform
-    matrices.  Errors inside a cell are recorded on the cell, not raised.
+    matrices.  Bad ``trials``, ``restarts``, ``tol`` or ``max_iter`` raise
+    :class:`DomainError` before any cell runs; errors inside a cell are
+    recorded on the cell, not raised.
     """
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if trials < 1 or restarts < 1:
-        raise ValueError("trials and restarts must be >= 1")
+        raise DomainError(f"trials and restarts must be >= 1, got {trials} and {restarts}")
+    # tol and max_iter are shared by every cell: reject bad values before any cell runs
+    SolverConfig(rank=1, max_iter=max_iter, rel_change_tol=tol)
 
     cells = [
         _run_cell(n, rank, method, trials, restarts, seed, tol, max_iter)

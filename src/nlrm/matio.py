@@ -216,8 +216,10 @@ def write_json(obj, path) -> None:
 def read_trace(path) -> IterationTrace:
     """Load an iteration trace from a result record or a bare record list."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not a UTF-8 text file") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     rows = payload.get("trace") if isinstance(payload, dict) else payload

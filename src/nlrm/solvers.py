@@ -4,8 +4,9 @@ All four solvers run one loop (``_iterate``) and differ only in their
 initialization and update.  ``ap_solve`` projects back onto the
 fixed-rank manifold with a full SVD of the dense iterate every step,
 while ``tap_solve`` projects onto the tangent space at the previous
-iterate first and retracts through a 2r x 2r core, so the only full-size
-SVD is the initialization.  Both then clamp at zero.  NMF baselines
+iterate first and retracts through a 2r x 2r core, so when 2r <= min(m, n)
+the only full-size SVD is the initialization (above that rank each step
+falls back to a full SVD).  Both then clamp at zero.  NMF baselines
 (multiplicative updates and HALS) and the empirical contraction-rate
 estimator round out the comparison tooling; ``solve`` runs any solver
 by name.
@@ -19,6 +20,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import instrument
 from .errors import DomainError, InsufficientDataError, ShapeError
 from .linalg import SvdTriplet, as_matrix, frobenius_norm, matmul
 from .projections import (
@@ -208,7 +210,9 @@ def tap_solve(
 
     After the initial full-size truncated SVD, each step projects Y onto
     the tangent space at X (two thin QRs) and retracts via the SVD of the
-    2r x 2r core, so no further m x n SVD is performed.
+    2r x 2r core, so no further m x n SVD is performed.  That holds when
+    2r <= min(m, n); above that rank each step evaluates the projection
+    densely and truncates it with a full SVD, as :func:`ap_solve` does.
     """
     return _project_solve(a, cfg, use_tangent=True, on_iterate=on_iterate)
 
@@ -274,22 +278,43 @@ def nmf_hals_solve(a: np.ndarray, cfg: SolverConfig) -> NmfResult:
 
     Same calling convention as :func:`nmf_mu_solve`.
     """
+    return _nmf_solve(a, cfg, _hals_update)
 
-    def update(a_mat, b, c):
-        w = matmul(a_mat, c.T)          # m x r
-        s = matmul(c, c.T)              # r x r
-        for j in range(b.shape[1]):
-            b[:, j] = np.maximum(
-                0.0, b[:, j] + (w[:, j] - matmul(b, s[:, j : j + 1])[:, 0]) / max(s[j, j], _NMF_EPS)
-            )
-        w2 = matmul(b.T, a_mat)         # r x n
-        s2 = matmul(b.T, b)             # r x r
-        for j in range(c.shape[0]):
-            c[j, :] = np.maximum(
-                0.0, c[j, :] + (w2[j, :] - matmul(s2[j : j + 1, :], c)[0, :]) / max(s2[j, j], _NMF_EPS)
-            )
 
-    return _nmf_solve(a, cfg, update)
+def _hals_update(a, b, c):
+    """One HALS sweep over the columns of ``b``, then the rows of ``c``, in place.
+
+    Each column (row) product goes into one reused buffer and is logged as
+    the m x r x 1 (1 x r x n) matmul it is.
+    """
+    (m, r), n = b.shape, c.shape[1]
+    w = matmul(a, c.T)          # m x r
+    s = matmul(c, c.T)          # r x r
+    col = np.empty(m)
+    for j in range(r):
+        instrument.log_matmul(m, r, 1)
+        np.dot(b, s[:, j], out=col)
+        _hals_clamped_step(b[:, j], w[:, j], s[j, j], col)
+    w2 = matmul(b.T, a)         # r x n
+    s2 = matmul(b.T, b)         # r x r
+    row = np.empty(n)
+    for j in range(r):
+        instrument.log_matmul(1, r, n)
+        np.dot(s2[j], c, out=row)
+        _hals_clamped_step(c[j], w2[j], s2[j, j], row)
+
+
+def _hals_clamped_step(x, w, s_jj, p):
+    """``x <- max(0, x + (w - p) / max(s_jj, eps))`` in place; ``p`` is overwritten.
+
+    The operations run in the expression's order, so the bits are those of
+    evaluating it with temporaries; ``0.0`` stays the first argument of
+    ``maximum``, which decides the sign of a zero result.
+    """
+    np.subtract(w, p, out=p)
+    np.divide(p, max(s_jj, _NMF_EPS), out=p)
+    np.add(x, p, out=p)
+    np.maximum(0.0, p, out=x)
 
 
 def _nmf_solve(a, cfg, update):

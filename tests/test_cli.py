@@ -191,6 +191,27 @@ class TestBench:
         assert not (tmp_path / "rep.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--trials", "0"), ("--restarts", "0"), ("--tol", "0"), ("--max-iter", "-1")],
+    )
+    def test_bad_run_setting_usage_error(self, tmp_path, capsys, flag, value):
+        rc = main(["bench", "--sizes", "10", "--ranks", "2", flag, value,
+                   "--output", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "rep.json").exists()
+
+    def test_zero_max_iter_fails_projection_cells_only(self, tmp_path):
+        rc = main(["bench", "--sizes", "10", "--ranks", "2", "--restarts", "1",
+                   "--max-iter", "0", "--output", str(tmp_path / "rep.json")])
+        assert rc == 0
+        cells = json.loads((tmp_path / "rep.json").read_text())["cells"]
+        errors = {c["method"]: c["error"] for c in cells}
+        assert errors["mu"] is None and errors["hals"] is None
+        assert errors["tap"] == errors["ap"] == "DomainError: projection solvers need max_iter >= 1"
+
+
 class TestDiag:
     def test_geometric_trace(self, tmp_path, capsys):
         trace = IterationTrace()
@@ -213,6 +234,12 @@ class TestDiag:
         path = tmp_path / "trace.json"
         path.write_text("{oops")
         assert main(["diag", "--trace", str(path)]) == 2
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        path.write_bytes(b"\xff\xfe[\x00]\x00")
+        assert main(["diag", "--trace", str(path)]) == 2
+        assert "not a UTF-8 text file" in capsys.readouterr().err
 
     def test_constant_trace_insufficient(self, tmp_path):
         rows = [{"iteration": k, "rel_error": 0.3} for k in range(15)]

@@ -25,8 +25,10 @@ from nlrm import (
     tangent_project_dense,
     tap_solve,
 )
+from nlrm.instrument import record_ops
+from nlrm.linalg import matmul
 from nlrm.rng import random_uniform
-from nlrm.solvers import METHODS
+from nlrm.solvers import _NMF_EPS, METHODS, _hals_clamped_step, _hals_update, _nmf_solve
 
 
 def low_rank_nonnegative(m, n, r, seed):
@@ -236,6 +238,95 @@ class TestNmf:
     def test_seed_required(self):
         with pytest.raises(DomainError):
             nmf_mu_solve(gen_uniform(5, 5, 19), SolverConfig(rank=2, seed=None))
+
+
+# Reference oracle for the in-place HALS sweep: the update as it was written
+# with a fresh product and temporaries per column and row, kept verbatim.
+def oracle_hals_update(a_mat, b, c):
+    w = matmul(a_mat, c.T)          # m x r
+    s = matmul(c, c.T)              # r x r
+    for j in range(b.shape[1]):
+        b[:, j] = np.maximum(
+            0.0, b[:, j] + (w[:, j] - matmul(b, s[:, j : j + 1])[:, 0]) / max(s[j, j], _NMF_EPS)
+        )
+    w2 = matmul(b.T, a_mat)         # r x n
+    s2 = matmul(b.T, b)             # r x r
+    for j in range(c.shape[0]):
+        c[j, :] = np.maximum(
+            0.0, c[j, :] + (w2[j, :] - matmul(s2[j : j + 1, :], c)[0, :]) / max(s2[j, j], _NMF_EPS)
+        )
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+# name -> (m, n, rank, seed); "square" is also the case where the clamp acts
+HALS_CASES = {
+    "tall": (40, 12, 5, 1),
+    "wide": (12, 40, 5, 2),
+    "square": (30, 30, 6, 3),
+    "rank_one": (20, 15, 1, 4),
+    "full_rank_tall": (25, 10, 10, 5),
+    "full_rank_wide": (10, 25, 10, 6),
+}
+
+
+class TestHalsAgainstOracle:
+    @pytest.mark.parametrize("name", sorted(HALS_CASES))
+    def test_run_bits_and_op_log(self, name):
+        m, n, r, seed = HALS_CASES[name]
+        a = gen_uniform(m, n, seed)
+        cfg = SolverConfig(rank=r, max_iter=60, rel_change_tol=1e-12, seed=seed + 100)
+        with record_ops() as log:
+            b, c, trace = nmf_hals_solve(a, cfg)
+        with record_ops() as oracle_log:
+            want_b, want_c, want_trace = _nmf_solve(a, cfg, oracle_hals_update)
+        assert_same_bits(b, want_b)
+        assert_same_bits(c, want_c)
+        assert_same_bits(trace.rel_errors, want_trace.rel_errors)
+        assert_same_bits(
+            [rec.min_entry for rec in trace.records],
+            [rec.min_entry for rec in want_trace.records],
+        )
+        assert log.matmul_shapes == oracle_log.matmul_shapes
+
+    def test_clamp_acts_in_square_case(self):
+        m, n, r, seed = HALS_CASES["square"]
+        b, c, _ = nmf_hals_solve(
+            gen_uniform(m, n, seed),
+            SolverConfig(rank=r, max_iter=60, rel_change_tol=1e-12, seed=seed + 100),
+        )
+        assert (b == 0.0).any() and (c == 0.0).any()
+
+    def test_zero_row_of_c_takes_the_eps_guard(self):
+        a = gen_uniform(15, 11, 7)
+        draws = random_uniform(8, 15 * 4 + 4 * 11)
+        b = draws[: 15 * 4].reshape(15, 4).copy()
+        c = draws[15 * 4 :].reshape(4, 11).copy()
+        c[2] = 0.0  # s_22 = 0 in the first sweep over b
+        want_b, want_c = b.copy(), c.copy()
+        for _ in range(5):
+            with record_ops() as log:
+                _hals_update(a, b, c)
+            with record_ops() as oracle_log:
+                oracle_hals_update(a, want_b, want_c)
+            assert_same_bits(b, want_b)
+            assert_same_bits(c, want_c)
+            assert log.matmul_shapes == oracle_log.matmul_shapes
+        assert np.isfinite(b).all() and np.isfinite(c).all()
+
+    @pytest.mark.parametrize("s_jj", [0.0, 2.0])
+    def test_clamped_step_keeps_signed_zeros(self, s_jj):
+        x = np.array([-0.0, -0.0, 0.0, 1.0, -1.0, 5e-324])
+        w = np.array([-0.0, 0.0, -0.0, 3.0, 0.5, -0.0])
+        p = np.array([0.0, 0.0, 0.0, 4.0, 0.25, 0.0])
+        want = np.maximum(0.0, x + (w - p) / max(s_jj, _NMF_EPS))
+        _hals_clamped_step(x, w, s_jj, p)
+        assert_same_bits(x, want)
+        assert np.signbit(x[0])
 
 
 class TestRelativeError:
