@@ -55,16 +55,13 @@ class BenchReport:
         }
 
 
-def table1_grid(scale: float = 1.0, sizes=None):
+def table1_grid(sizes=None):
     """(size, rank) pairs of the synthetic benchmark: ranks n/20, n/10, n/5.
 
-    ``scale`` shrinks the sizes (rank ratios kept) so the suite fits in CI
-    budgets; ``sizes`` overrides the size list entirely.
+    ``sizes`` replaces the paper's size list :data:`TABLE1_SIZES`.
     """
-    if sizes is None:
-        sizes = [max(20, int(round(s * scale))) for s in TABLE1_SIZES]
     grid = []
-    for n in sizes:
+    for n in TABLE1_SIZES if sizes is None else sizes:
         for divisor in (20, 10, 5):
             grid.append((n, max(1, n // divisor)))
     return grid
@@ -83,13 +80,17 @@ def run_bench(
     """Run the requested methods over ``grid`` and aggregate per cell.
 
     ``grid`` is a list of (size, rank) pairs; inputs are square uniform
-    matrices.  Bad ``trials``, ``restarts``, ``tol`` or ``max_iter`` raise
-    :class:`DomainError` before any cell runs; errors inside a cell are
-    recorded on the cell, not raised.
+    matrices.  A cell whose rank is not in [1, size], or a bad ``trials``,
+    ``restarts``, ``tol`` or ``max_iter``, raises :class:`DomainError`
+    before any cell runs; errors inside a cell are recorded on the cell,
+    not raised.
     """
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    for n, rank in grid:
+        if not 1 <= rank <= n:
+            raise DomainError(f"invalid cell: size {n} with rank {rank}")
     if trials < 1 or restarts < 1:
         raise DomainError(f"trials and restarts must be >= 1, got {trials} and {restarts}")
     # tol and max_iter are shared by every cell: reject bad values before any cell runs

@@ -1,14 +1,16 @@
 """Command-line interface: approximate a matrix file, run benchmark grids,
 generate datasets, and diagnose convergence traces.
 
-The CLI is a thin shell over the library; all numeric work happens in the
-modules it calls.  Exit codes: 0 success, 2 usage/parse error, 3 numeric
-error.
+The CLI is a thin shell over the library: all numeric work, and every
+check of a value, happens in the modules it calls.  The CLI itself checks
+only which options go together, which no library function sees.  ``main``
+is the one place that maps errors to exit codes: 0 success, 3 for a
+:class:`NumericError`, 2 for any other package error or an ``OSError``
+(and for argparse's usage errors).
 """
 
 import argparse
 import hashlib
-import json
 import sys
 
 from . import bench as bench_mod
@@ -19,7 +21,7 @@ from .datagen import (
     gen_separable_case1,
     gen_uniform,
 )
-from .errors import DomainError, InsufficientDataError, NumericError, ParseError, ShapeError
+from .errors import NlrmError, NumericError
 from .solvers import METHODS, SolverConfig, contraction_rate_estimate, solve
 
 EXIT_OK = 0
@@ -49,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--suite", choices=["table1"], help="use the predefined grid")
     p_bench.add_argument("--sizes", type=int, nargs="+", help="square matrix sizes")
     p_bench.add_argument("--ranks", type=int, nargs="+", help="ranks (with --sizes)")
-    p_bench.add_argument("--scale", type=float, default=1.0, help="shrink suite sizes")
     p_bench.add_argument("--methods", nargs="+", choices=METHODS, default=list(METHODS))
     p_bench.add_argument("--trials", type=int, default=1)
     p_bench.add_argument("--restarts", type=int, default=10)
@@ -84,9 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_approx(args) -> int:
-    # SolverConfig accepts max_iter = 0 (NMF initialization only); the CLI does not
-    if args.max_iter < 1:
-        return _usage_error(f"--max-iter must be >= 1, got {args.max_iter}")
     cfg = SolverConfig(
         rank=args.rank,
         max_iter=args.max_iter,
@@ -110,16 +108,13 @@ def cmd_approx(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.suite == "table1":
-        grid = bench_mod.table1_grid(scale=args.scale, sizes=args.sizes)
+        grid = bench_mod.table1_grid(sizes=args.sizes)
         suite = "table1"
     elif args.sizes and args.ranks:
         grid = [(n, r) for n in args.sizes for r in args.ranks]
         suite = "custom"
     else:
         return _usage_error("provide --suite table1 or both --sizes and --ranks")
-    for n, r in grid:
-        if r < 1 or r > n:
-            return _usage_error(f"invalid cell: size {n} with rank {r}")
 
     report = bench_mod.run_bench(
         grid,
@@ -149,11 +144,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.sigma < 0:
-        return _usage_error(f"--sigma must be >= 0, got {args.sigma}")
     if args.family == "uniform":
-        if args.m < 1 or args.n < 1:
-            return _usage_error("--m and --n must be >= 1")
         matrix = gen_uniform(args.m, args.n, args.seed)
     elif args.family == "separable_case1":
         matrix, b_true, c_true = gen_separable_case1(args.sigma, args.seed)
@@ -177,11 +168,7 @@ def cmd_gen(args) -> int:
 
 def cmd_diag(args) -> int:
     trace = matio.read_trace(args.trace)
-    try:
-        c_hat, r_squared = contraction_rate_estimate(trace, args.tail_fraction)
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    c_hat, r_squared = contraction_rate_estimate(trace, args.tail_fraction)
     final = trace.records[-1]
     print(
         f"c_hat={c_hat:.6g} r_squared={r_squared:.6g} "
@@ -207,12 +194,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (OSError, ParseError, DomainError, ShapeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (OSError, NlrmError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def console_entry() -> None:

@@ -6,6 +6,7 @@ so a (family, seed) pair pins the dataset bit-for-bit on every platform.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -32,8 +33,7 @@ def gen_separable_case1(sigma: float, seed: int):
 
     Returns ``(a, b_true, c_true)``.
     """
-    if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
+    _check_sigma(sigma)
     b = uniform_matrix(200, 20, seed)
     hprime = np.zeros((20, 190))
     for col, (i, j) in enumerate(itertools.combinations(range(20), 2)):
@@ -55,13 +55,18 @@ def gen_orthogonal_decomposable(sigma: float, seed: int) -> np.ndarray:
     ``B.T @ B`` exactly diagonal.  Returns ``B @ C + sigma * noise`` with
     ``C`` 10 x 30 uniform and uniform [0, 1) noise.
     """
-    if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
+    _check_sigma(sigma)
     b, c = _orthogonal_factors(seed)
     a = matmul(b, c)
     if sigma > 0:
         a += sigma * random_uniform(seed, 100 * 30, offset=100 + 10 * 30).reshape(100, 30)
     return a
+
+
+def _check_sigma(sigma):
+    # NaN fails the chained comparison too
+    if not 0 <= sigma < math.inf:
+        raise DomainError(f"sigma must be finite and >= 0, got {sigma}")
 
 
 def _orthogonal_factors(seed: int):

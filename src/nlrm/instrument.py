@@ -16,7 +16,6 @@ class OpLog:
     """Shapes observed while a ``record_ops`` context was active."""
 
     matmul_shapes: list = field(default_factory=list)  # (rows_a, inner, cols_b)
-    qr_shapes: list = field(default_factory=list)      # (rows, cols)
     svd_shapes: list = field(default_factory=list)     # (rows, cols)
 
 
@@ -26,11 +25,6 @@ _active: list = []
 def log_matmul(rows: int, inner: int, cols: int) -> None:
     for log in _active:
         log.matmul_shapes.append((rows, inner, cols))
-
-
-def log_qr(rows: int, cols: int) -> None:
-    for log in _active:
-        log.qr_shapes.append((rows, cols))
 
 
 def log_svd(rows: int, cols: int) -> None:

@@ -82,7 +82,6 @@ def householder_qr(a: np.ndarray) -> QrFactors:
     m, n = _require_2d(a, "householder_qr input")
     if m < n:
         raise ShapeError(f"householder_qr needs rows >= cols, got {m}x{n}")
-    instrument.log_qr(m, n)
     if not a.any():
         return QrFactors(np.eye(m, n), np.zeros((n, n)))
     q, r = np.linalg.qr(a, mode="reduced")

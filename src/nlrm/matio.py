@@ -227,5 +227,5 @@ def read_trace(path) -> IterationTrace:
         raise ParseError(f"{path}: no trace records found")
     try:
         return IterationTrace.from_dicts(rows)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed trace record: {exc}") from None

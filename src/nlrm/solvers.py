@@ -114,16 +114,18 @@ class IterationTrace:
 
     @classmethod
     def from_dicts(cls, rows):
+        """Trace from ``to_dicts`` rows; a non-finite value raises :class:`DomainError`."""
         trace = cls()
         for row in rows:
-            trace.append(
-                TraceRecord(
-                    int(row["iteration"]),
-                    float(row["rel_error"]),
-                    float(row.get("seconds", 0.0)),
-                    float(row.get("min_entry", 0.0)),
-                )
+            rec = TraceRecord(
+                int(row["iteration"]),
+                float(row["rel_error"]),
+                float(row.get("seconds", 0.0)),
+                float(row.get("min_entry", 0.0)),
             )
+            if not all(map(math.isfinite, rec[1:])):
+                raise DomainError(f"non-finite value in record {rec}")
+            trace.append(rec)
         return trace
 
 
@@ -227,8 +229,6 @@ def _project_solve(a, cfg, use_tangent, on_iterate):
         nonlocal x, y
         m, n = a.shape
         if k == 1:
-            if r > min(m, n):
-                raise ShapeError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
             x = project_fixed_rank(a, r)
         elif not use_tangent:
             x = project_fixed_rank(y, r)

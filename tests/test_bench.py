@@ -1,7 +1,9 @@
 """Benchmark harness: grid construction, aggregation, and determinism."""
 
 import numpy as np
+import pytest
 
+from nlrm import DomainError
 from nlrm.bench import report_csv_lines, run_bench, table1_grid
 
 
@@ -19,7 +21,7 @@ class TestGrid:
         assert len(grid) * 4 == 12
 
     def test_scaled_keeps_rank_ratios(self):
-        grid = table1_grid(scale=0.5)
+        grid = table1_grid(sizes=[100])
         assert grid[:3] == [(100, 5), (100, 10), (100, 20)]
 
 
@@ -56,6 +58,12 @@ class TestRunBench:
         by_method = {c.method: c for c in report.cells}
         diff = abs(by_method["tap"].mean_rel_error - by_method["ap"].mean_rel_error)
         assert diff < 1e-3
+
+    @pytest.mark.parametrize("grid", [[(10, 40)], [(10, 0)], [(20, 2), (0, 1)]])
+    def test_bad_grid_rejected_before_any_cell(self, grid, monkeypatch):
+        monkeypatch.setattr("nlrm.bench._run_cell", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(DomainError, match="invalid cell"):
+            run_bench(grid)
 
     def test_csv_lines(self):
         report = run_bench([(20, 2)], methods=("tap",), trials=1, seed=0, max_iter=30)

@@ -7,7 +7,17 @@ import warnings
 import numpy as np
 import pytest
 
-from nlrm import gen_uniform, write_matrix
+from nlrm import (
+    DomainError,
+    InsufficientDataError,
+    NlrmError,
+    NumericError,
+    ParseError,
+    ShapeError,
+    gen_uniform,
+    write_matrix,
+)
+from nlrm import cli
 from nlrm.cli import main
 from nlrm.solvers import METHODS, IterationTrace, SolverConfig, TraceRecord, solve
 
@@ -104,6 +114,31 @@ class TestApprox:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(tmp_path) in err
 
+    @pytest.mark.parametrize("method", ["tap", "ap"])
+    def test_zero_max_iter_projection_usage_error(self, tmp_path, capsys, method):
+        src = tmp_path / "a.csv"
+        write_rank2_matrix(src)
+        rc = main(["approx", str(src), "--method", method, "--rank", "1", "--max-iter", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: projection solvers need max_iter >= 1\n"
+
+    @pytest.mark.parametrize("method", ["mu", "hals"])
+    def test_zero_max_iter_nmf_writes_initialization(self, tmp_path, method):
+        src = tmp_path / "a.csv"
+        write_rank2_matrix(src)
+        rc = main(["approx", str(src), "--method", method, "--rank", "2", "--max-iter", "0",
+                   "--output", str(tmp_path / "y.csv"), "--trace", str(tmp_path / "r.json")])
+        assert rc == 0
+        record = json.loads((tmp_path / "r.json").read_text())
+        assert record["iters"] == 1 and record["converged"] is False
+        assert (tmp_path / "y.csv").exists()
+
+    def test_rank_above_min_dimension_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "a.csv"
+        write_rank2_matrix(src)  # 12 x 9
+        assert main(["approx", str(src), "--rank", "10"]) == 2
+        assert "min(m, n) = 9" in capsys.readouterr().err
+
     def test_non_utf8_input_usage_error(self, tmp_path, capsys):
         src = tmp_path / "latin1.csv"
         src.write_bytes(b"1,2\n3,\xe9\n")
@@ -140,6 +175,26 @@ class TestGen:
         assert rc == 0
         record = json.loads((tmp_path / "r.json").read_text())
         assert record["rel_error_x"] < 1e-8
+
+    def test_zero_size_usage_error(self, tmp_path, capsys):
+        rc = main(["gen", "--family", "uniform", "--m", "0", "--out", str(tmp_path / "u.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "u.csv").exists()
+
+    @pytest.mark.parametrize("family", ["separable_case1", "orthogonal_decomposable"])
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_bad_sigma_usage_error(self, tmp_path, capsys, family, sigma):
+        rc = main(["gen", "--family", family, "--sigma", sigma,
+                   "--out", str(tmp_path / "g.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: sigma must be finite and >= 0")
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_sigma_ignored_where_unused(self, tmp_path):
+        rc = main(["gen", "--family", "uniform", "--m", "3", "--n", "3", "--sigma", "-1",
+                   "--out", str(tmp_path / "u.csv")])
+        assert rc == 0
 
     def test_graph_similarity_needs_ten_points(self, tmp_path):
         pts = tmp_path / "pts.csv"
@@ -183,6 +238,12 @@ class TestBench:
         rc = main(["bench", "--sizes", "10", "--ranks", "40",
                    "--output", str(tmp_path / "rep.json")])
         assert rc == 2
+
+    def test_scale_option_removed(self, tmp_path):
+        rc = main(["bench", "--suite", "table1", "--scale", "0.5",
+                   "--output", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert not (tmp_path / "rep.json").exists()
 
     def test_unknown_method(self, tmp_path):
         rc = main(["bench", "--sizes", "10", "--ranks", "2", "--methods", "magic",
@@ -247,6 +308,18 @@ class TestDiag:
         path.write_text(json.dumps(rows))
         assert main(["diag", "--trace", str(path)]) == 2
 
+    @pytest.mark.parametrize("field, text", [("rel_error", "Infinity"), ("seconds", "NaN"),
+                                             ("min_entry", "-1e400"), ("iteration", "Infinity")])
+    def test_non_finite_trace_usage_error(self, tmp_path, capsys, field, text):
+        rows = [json.dumps({"iteration": k, "rel_error": 0.5**k}) for k in range(15)]
+        rows[3] = rows[3][:-1] + f', "{field}": {text}}}'
+        path = tmp_path / "trace.json"
+        path.write_text("[" + ",".join(rows) + "]")
+        assert main(["diag", "--trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: malformed trace record: ")
+
     def test_solver_trace_flow(self, tmp_path, capsys):
         src = tmp_path / "a.csv"
         write_matrix(gen_uniform(60, 60, 5), src, "csv")
@@ -269,3 +342,28 @@ class TestUsage:
         src = tmp_path / "a.csv"
         write_rank2_matrix(src)
         assert main(["approx", str(src), "--method", "magic", "--rank", "1"]) == 2
+
+
+class TestErrorMapping:
+    """``main`` alone turns an error raised by a command into an exit code."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [NlrmError, ShapeError, DomainError, ParseError, InsufficientDataError,
+         FileNotFoundError, PermissionError],
+    )
+    def test_usage_errors_exit_2(self, monkeypatch, capsys, error):
+        def command(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_diag", command)
+        assert main(["diag", "--trace", "unused.json"]) == 2
+        assert capsys.readouterr().err == "error: boom\n"
+
+    def test_numeric_error_exits_3(self, monkeypatch, capsys):
+        def command(args):
+            raise NumericError("boom")
+
+        monkeypatch.setattr(cli, "cmd_diag", command)
+        assert main(["diag", "--trace", "unused.json"]) == 3
+        assert capsys.readouterr().err == "numeric error: boom\n"

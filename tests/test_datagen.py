@@ -72,6 +72,11 @@ class TestGenSeparableCase1:
         with pytest.raises(DomainError):
             gen_separable_case1(-0.1, 0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(DomainError):
+            gen_separable_case1(sigma, 0)
+
     def test_deterministic(self):
         a1, _, _ = gen_separable_case1(0.3, 30)
         a2, _, _ = gen_separable_case1(0.3, 30)
@@ -102,6 +107,11 @@ class TestGenOrthogonalDecomposable:
 
     def test_nonnegative_output(self):
         assert (gen_orthogonal_decomposable(0.08, 13) >= 0.0).all()
+
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(DomainError):
+            gen_orthogonal_decomposable(sigma, 0)
 
     def test_noise_shares_factors(self):
         clean = gen_orthogonal_decomposable(0.0, 14)
