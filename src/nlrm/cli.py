@@ -108,6 +108,8 @@ def cmd_approx(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.suite == "table1":
+        if args.ranks:
+            return _usage_error("--suite table1 sets its own ranks; drop --ranks")
         grid = bench_mod.table1_grid(sizes=args.sizes)
         suite = "table1"
     elif args.sizes and args.ranks:

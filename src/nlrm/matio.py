@@ -3,11 +3,16 @@
 Two matrix formats are supported: headerless comma-separated values
 (row-major) and the MatrixMarket dense "array" format (column-major, as
 the format requires).  Values are written with 17 significant digits so a
-read of a write reproduces every float64 bit-for-bit.  Result files are
-JSON with a versioned schema.
+read of a write reproduces every float64 bit-for-bit.  Both formats are
+read with ``np.loadtxt`` from an open file, which holds about the output
+array and not the file text, and written with ``np.savetxt``.  When numpy
+rejects an input, a per-token pass with Python's ``float`` either names
+the offending line or reads the rare token only ``float`` accepts (``1_0``,
+non-ASCII digits).  Result files are JSON with a versioned schema.
 """
 
 import json
+import warnings
 
 import numpy as np
 
@@ -32,10 +37,16 @@ def write_matrix(m, path, format: str = CSV) -> None:
         raise ShapeError(
             f"cannot write a {m.shape[0]}x{m.shape[1]} matrix; both dimensions must be positive"
         )
+    # a file, not a path: savetxt would compress a path ending in ".gz" or ".bz2"
     if format == CSV:
-        _write_csv(m, path)
+        with open(path, "w") as fh:
+            np.savetxt(fh, m, fmt="%.17g", delimiter=",")
     elif format == MATRIX_MARKET:
-        _write_matrix_market(m, path)
+        rows, cols = m.shape
+        with open(path, "w") as fh:
+            # array format is column-major; each row of m.T is one column's lines
+            np.savetxt(fh, m.T, fmt="%.17g", delimiter="\n",
+                       header=f"{_MM_BANNER}\n{rows} {cols}", comments="")
     else:
         raise ParseError(f"unknown format {format!r}; expected one of {_FORMATS}")
 
@@ -59,22 +70,14 @@ def format_for_path(path) -> str:
     return MATRIX_MARKET if str(path).lower().endswith(".mtx") else CSV
 
 
-# Writers format one row (CSV) or one column (MatrixMarket) per ``%`` call
-# from Python floats: the same "%.17g" per value, so the bytes do not depend
-# on the grouping, and only one row's or column's text is held at a time.
-
-def _write_csv(m, path):
-    template = ",".join(["%.17g"] * m.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        for row in m:
-            fh.write(template % tuple(row.tolist()))
-
-
 def _read_csv(path):
-    rows = None             # grown by doubling; the first ``nrows`` are filled
-    nrows = 0
-    width = None
     with open(path, encoding="utf-8") as fh:
+        values = _loadtxt(fh, ",")
+        if values is not None:
+            return values
+        fh.seek(0)
+        rows = []
+        width = None
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -82,31 +85,14 @@ def _read_csv(path):
             fields = line.split(",")
             if width is None:
                 width = len(fields)
-                rows = np.empty((64, width))
             elif len(fields) != width:
                 raise ParseError(
                     f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
                 )
-            if nrows == len(rows):
-                rows = np.concatenate([rows, np.empty_like(rows)])
-            values = _floats(fields)
-            if values is None:
-                values = [_parse_value(tok, path, lineno) for tok in fields]
-            rows[nrows] = values
-            nrows += 1
-    if not nrows:
+            rows.append([_parse_value(tok, path, lineno) for tok in fields])
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    return rows[:nrows].copy()
-
-
-def _write_matrix_market(m, path):
-    rows, cols = m.shape
-    template = "%.17g\n" * rows
-    with open(path, "w") as fh:
-        fh.write(_MM_BANNER + "\n")
-        fh.write(f"{rows} {cols}\n")
-        for col in m.T:             # array format is column-major
-            fh.write(template % tuple(col.tolist()))
+    return np.array(rows, dtype=np.float64)
 
 
 def _read_matrix_market(path):
@@ -116,69 +102,72 @@ def _read_matrix_market(path):
             lines.append(line)
             if not line.lstrip().startswith("%"):
                 break
-        body = fh.read()
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    banner = lines[0].strip().split()
-    if len(banner) != 5 or banner[0] != "%%MatrixMarket":
-        raise ParseError(f"{path}: line 1: not a MatrixMarket header")
-    obj, fmt, field, symmetry = (tok.lower() for tok in banner[1:])
-    if obj != "matrix":
-        raise ParseError(f"{path}: line 1: unsupported object {obj!r}")
-    if fmt != "array":
-        raise ParseError(
-            f"{path}: line 1: only dense 'array' format is supported, got {fmt!r}"
-        )
-    if field != "real":
-        raise ParseError(f"{path}: line 1: unsupported field {field!r}")
-    if symmetry != "general":
-        raise ParseError(f"{path}: line 1: unsupported symmetry {symmetry!r}")
-
-    idx = 1
-    while idx < len(lines) and lines[idx].lstrip().startswith("%"):
-        idx += 1
-    if idx >= len(lines):
-        raise ParseError(f"{path}: missing size line")
-    size_tokens = lines[idx].split()
-    if len(size_tokens) != 2:
-        raise ParseError(
-            f"{path}: line {idx + 1}: size line must be 'rows cols', got {lines[idx]!r}"
-        )
-    try:
-        rows, cols = int(size_tokens[0]), int(size_tokens[1])
-    except ValueError:
-        raise ParseError(f"{path}: line {idx + 1}: non-integer size entry") from None
-    if rows < 1 or cols < 1:
-        raise ParseError(f"{path}: line {idx + 1}: dimensions must be positive")
-
-    tokens = body.split()
-    values = _floats(tokens) if len(tokens) == rows * cols else None
-    if values is None:
-        # a bad token is reported before a wrong count, with its line number
-        values = []
-        for lineno, text in enumerate(body.split("\n"), start=idx + 2):
-            for tok in text.split():
-                values.append(_parse_value(tok, path, lineno))
-        if len(values) != rows * cols:
+        if not lines:
+            raise ParseError(f"{path}: empty file")
+        banner = lines[0].strip().split()
+        if len(banner) != 5 or banner[0] != "%%MatrixMarket":
+            raise ParseError(f"{path}: line 1: not a MatrixMarket header")
+        obj, fmt, field, symmetry = (tok.lower() for tok in banner[1:])
+        if obj != "matrix":
+            raise ParseError(f"{path}: line 1: unsupported object {obj!r}")
+        if fmt != "array":
             raise ParseError(
-                f"{path}: expected {rows * cols} values, found {len(values)}"
+                f"{path}: line 1: only dense 'array' format is supported, got {fmt!r}"
             )
-        values = np.array(values, dtype=np.float64)
+        if field != "real":
+            raise ParseError(f"{path}: line 1: unsupported field {field!r}")
+        if symmetry != "general":
+            raise ParseError(f"{path}: line 1: unsupported symmetry {symmetry!r}")
+
+        idx = 1
+        while idx < len(lines) and lines[idx].lstrip().startswith("%"):
+            idx += 1
+        if idx >= len(lines):
+            raise ParseError(f"{path}: missing size line")
+        size_tokens = lines[idx].split()
+        if len(size_tokens) != 2:
+            raise ParseError(
+                f"{path}: line {idx + 1}: size line must be 'rows cols', got {lines[idx]!r}"
+            )
+        try:
+            rows, cols = int(size_tokens[0]), int(size_tokens[1])
+        except ValueError:
+            raise ParseError(f"{path}: line {idx + 1}: non-integer size entry") from None
+        if rows < 1 or cols < 1:
+            raise ParseError(f"{path}: line {idx + 1}: dimensions must be positive")
+
+        start = fh.tell()
+        values = _loadtxt(fh, None)
+        if values is None or values.size != rows * cols:
+            # a bad token is reported before a wrong count, with its line number
+            fh.seek(start)
+            values = []
+            for lineno, text in enumerate(fh.read().split("\n"), start=idx + 2):
+                for tok in text.split():
+                    values.append(_parse_value(tok, path, lineno))
+            if len(values) != rows * cols:
+                raise ParseError(
+                    f"{path}: expected {rows * cols} values, found {len(values)}"
+                )
+            values = np.array(values, dtype=np.float64)
     return values.reshape(cols, rows).T
 
 
-def _floats(tokens):
-    """All ``tokens`` as float64 in one pass, or None if one is not a finite number.
+def _loadtxt(fh, delimiter):
+    """The rest of ``fh`` as a 2-D float64 array, or None if numpy rejects it.
 
-    Python's ``float`` is the grammar ``_parse_value`` applies, so this accepts
-    exactly the tokens it accepts; on None, callers rerun ``_parse_value`` per
-    token for its line-numbered message.
+    numpy reads the tokens Python's ``float`` reads, to the same bits, except
+    ``1_0`` and non-ASCII digits.  None also stands for no data and for a
+    non-finite value; callers then rerun ``_parse_value`` per token, which
+    raises its line-numbered message or reads those rare tokens.
     """
     try:
-        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # "input contained no data"
+            values = np.loadtxt(fh, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:      # also UnicodeDecodeError; the per-token pass raises it again
         return None
-    return values if np.isfinite(values).all() else None
+    return values if values.size and np.isfinite(values).all() else None
 
 
 def _parse_value(token, path, lineno):

@@ -62,12 +62,14 @@ class SolverConfig:
             raise DomainError(f"rank must be >= 1, got {self.rank}")
         if self.max_iter < 0:
             raise DomainError(f"max_iter must be >= 0, got {self.max_iter}")
-        if not self.rel_change_tol > 0:
+        if not 0 < self.rel_change_tol < math.inf:
             raise DomainError(
-                f"rel_change_tol must be > 0, got {self.rel_change_tol}"
+                f"rel_change_tol must be finite and > 0, got {self.rel_change_tol}"
             )
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise DomainError(f"time_limit must be > 0, got {self.time_limit}")
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise DomainError(
+                f"time_limit must be finite and > 0, got {self.time_limit}"
+            )
 
 
 class TraceRecord(NamedTuple):

@@ -239,6 +239,13 @@ class TestBench:
                    "--output", str(tmp_path / "rep.json")])
         assert rc == 2
 
+    def test_ranks_with_table1_suite_rejected(self, tmp_path, capsys):
+        rc = main(["bench", "--suite", "table1", "--sizes", "20", "--ranks", "7",
+                   "--output", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert "--ranks" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
+
     def test_scale_option_removed(self, tmp_path):
         rc = main(["bench", "--suite", "table1", "--scale", "0.5",
                    "--output", str(tmp_path / "rep.json")])
@@ -254,7 +261,8 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--trials", "0"), ("--restarts", "0"), ("--tol", "0"), ("--max-iter", "-1")],
+        [("--trials", "0"), ("--restarts", "0"), ("--tol", "0"), ("--tol", "inf"),
+         ("--max-iter", "-1")],
     )
     def test_bad_run_setting_usage_error(self, tmp_path, capsys, flag, value):
         rc = main(["bench", "--sizes", "10", "--ranks", "2", flag, value,

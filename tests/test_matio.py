@@ -1,6 +1,9 @@
 """File round-trips and parse-error reporting for matrix and trace I/O."""
 
 import json
+import locale
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -278,7 +281,7 @@ class TestAgainstOracle:
         m = {
             "edges": EDGE_VALUES,
             "one_by_one": np.array([[5e-324]]),
-            "random_bits": random_bit_patterns((150, 7), 11),  # > 2 buffer doublings
+            "random_bits": random_bit_patterns((150, 7), 11),  # every exponent
             "uniform": gen_uniform(30, 20, 4),
         }[case]
         oracle_read, oracle_write = ORACLES[fmt]
@@ -289,6 +292,13 @@ class TestAgainstOracle:
         back = read_matrix(ours, fmt)
         assert_same_bits(back, oracle_read(ours))
         assert_same_bits(back, m)
+
+    def test_compressed_suffix_written_as_text(self, tmp_path, fmt):
+        m = gen_uniform(3, 2, 6)
+        ours, theirs = tmp_path / "m.csv.gz", tmp_path / "theirs"
+        write_matrix(m, ours, fmt)
+        ORACLES[fmt][1](m, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
 
     def test_zero_size_rejected_on_write(self, tmp_path, fmt):
         for shape in [(3, 0), (0, 3), (0, 0)]:
@@ -390,3 +400,121 @@ class TestErrorsAgainstOracle:
         with pytest.raises(ParseError) as info:
             read_matrix(path, "matrix_market_dense")
         assert str(info.value) == want
+
+
+class TestReaderResources:
+    def test_matrix_market_read_memory_bounded_by_output(self, tmp_path):
+        m = gen_uniform(200, 150, 5)
+        path = tmp_path / "m.mtx"
+        write_matrix(m, path, "matrix_market_dense")
+        tracemalloc.start()
+        try:
+            back = read_matrix(path, "matrix_market_dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_bits(back, m)
+        assert peak < 3 * m.nbytes
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("csv", ""),
+        ("csv", "\n \n\n"),
+        ("matrix_market_dense", ""),
+        ("matrix_market_dense", MM_HEADER + "2 2\n"),
+        ("matrix_market_dense", MM_HEADER + "2 2\n\n \n"),
+    ])
+    def test_no_data_raises_without_warning(self, tmp_path, fmt, text):
+        path = tmp_path / "m"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError):
+                read_matrix(path, fmt)
+
+
+# Token pool of the differential test: values written with repr, and tokens
+# that one reader might take and the other not.
+ODD_TOKENS = ["1_0", "\u0661", "\xa01.5\xa0", "\t2\t", "nan", "inf", "1e400", "",
+              "%", "#1", "0x1", "\ufeff1"]
+BLANK_LINES = ["", " ", "\t", " \t "]
+
+
+def random_token(rng, odd_rate):
+    if rng.random() < odd_rate:
+        return ODD_TOKENS[rng.integers(len(ODD_TOKENS))]
+    kind = rng.integers(4)
+    if kind == 0:
+        return repr(float(random_bit_patterns((), rng.integers(2**32))))
+    if kind == 1:
+        return repr(float(rng.integers(-9, 10)))
+    if kind == 2:
+        return repr(-0.0)
+    return repr(float(rng.random()))
+
+
+def join_lines(rng, lines, head=0):
+    """Lines joined by one random line ending, with blank lines mixed in after ``head``."""
+    out = lines[:head]
+    for line in lines[head:]:
+        while rng.random() < 0.1:
+            out.append(BLANK_LINES[rng.integers(len(BLANK_LINES))])
+        out.append(line)
+    eol = ["\n", "\r\n", "\r"][rng.integers(3)]
+    return eol.join(out) + (eol if rng.random() < 0.8 else "")
+
+
+def random_csv_text(rng):
+    rows, cols = rng.integers(1, 5), rng.integers(1, 4)
+    odd_rate = [0.0, 0.03, 0.2][rng.integers(3)]
+    lines = []
+    for _ in range(rows):
+        width = cols + (rng.integers(-1, 2) if rng.random() < 0.05 else 0)
+        lines.append(",".join(random_token(rng, odd_rate) for _ in range(width)))
+    return join_lines(rng, lines)
+
+
+def random_matrix_market_text(rng):
+    rows, cols = rng.integers(1, 4), rng.integers(1, 4)
+    odd_rate = [0.0, 0.03, 0.2][rng.integers(3)]
+    count = rows * cols + (rng.integers(-1, 2) if rng.random() < 0.1 else 0)
+    tokens = [random_token(rng, odd_rate) for _ in range(count)]
+    lines = [MM_HEADER.strip()] + ["% comment"] * rng.integers(2) + [f"{rows} {cols}"]
+    head = len(lines)
+    while tokens:
+        per_line = rng.integers(1, 4)
+        lines.append(" ".join(tokens[:per_line]))
+        tokens = tokens[per_line:]
+    return join_lines(rng, lines, head)
+
+
+def read_outcome(read, path):
+    """Shape, strides and bytes of what a reader returns, or its ParseError text."""
+    try:
+        m = read(path)
+    except ParseError as exc:
+        return str(exc)
+    return m.shape, m.strides, m.tobytes()
+
+
+@pytest.mark.skipif(
+    locale.getpreferredencoding(False).lower() not in ("utf-8", "utf8"),
+    reason="the oracles decode with the locale's encoding; the files are UTF-8",
+)
+@pytest.mark.parametrize("fmt, make_text", [
+    ("csv", random_csv_text),
+    ("matrix_market_dense", random_matrix_market_text),
+])
+def test_reader_matches_oracle_on_generated_files(tmp_path, fmt, make_text):
+    rng = np.random.default_rng(2024)
+    oracle_read = ORACLES[fmt][0]
+    path = tmp_path / "m"
+    mismatches, read_ok = [], 0
+    for _ in range(2000):
+        text = make_text(rng)
+        path.write_bytes(text.encode())
+        got = read_outcome(lambda p: read_matrix(p, fmt), path)
+        if got != read_outcome(oracle_read, path):
+            mismatches.append(text)
+        read_ok += not isinstance(got, str)
+    assert mismatches == []
+    assert 200 < read_ok < 1800        # both outcomes are well exercised

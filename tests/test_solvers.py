@@ -45,6 +45,11 @@ class TestSolverConfig:
             SolverConfig(rank=2, rel_change_tol=0.0)
         with pytest.raises(DomainError):
             SolverConfig(rank=2, time_limit=0.0)
+        for value in (np.inf, np.nan):
+            with pytest.raises(DomainError):
+                SolverConfig(rank=2, rel_change_tol=value)
+            with pytest.raises(DomainError):
+                SolverConfig(rank=2, time_limit=value)
 
     def test_zero_max_iter_rejected_by_projection_solvers(self):
         cfg = SolverConfig(rank=2, max_iter=0)
