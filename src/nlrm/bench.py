@@ -7,7 +7,7 @@ Cells run one after another and are pure functions of (grid, seed), so a
 report's errors are reproducible bit for bit; only wall times vary.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from statistics import mean, median
 from typing import Optional
 
@@ -47,12 +47,7 @@ class BenchReport:
     cells: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "schema": self.schema,
-            "suite": self.suite,
-            "seed": self.seed,
-            "cells": [asdict(cell) for cell in self.cells],
-        }
+        return asdict(self)
 
 
 def table1_grid(sizes=None):
@@ -136,19 +131,10 @@ def _run_cell(n, rank, method, trials, restarts, seed, tol, max_iter):
     return cell
 
 
-CSV_HEADER = (
-    "family,m,n,rank,method,mean_rel_error,min_rel_error,max_rel_error,"
-    "mean_seconds,median_seconds,trials,restarts"
-)
-
-
 def report_csv_lines(report: BenchReport):
-    """Plot-ready long-format CSV: one row per cell."""
-    lines = [CSV_HEADER]
-    for c in report.cells:
-        lines.append(
-            f"{c.family},{c.m},{c.n},{c.rank},{c.method},"
-            f"{c.mean_rel_error:.17g},{c.min_rel_error:.17g},{c.max_rel_error:.17g},"
-            f"{c.mean_seconds:.17g},{c.median_seconds:.17g},{c.trials},{c.restarts}"
-        )
-    return lines
+    """Plot-ready long-format CSV: a row per cell, a column per field but ``error``."""
+    names = [f.name for f in fields(BenchCell) if f.name != "error"]
+    rows = ([getattr(cell, name) for name in names] for cell in report.cells)
+    return [",".join(names)] + [
+        ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows
+    ]

@@ -91,11 +91,11 @@ def cmd_approx(args) -> int:
         rel_change_tol=args.tol,
         seed=args.seed,
     )
-    a = matio.read_matrix(args.input, matio.format_for_path(args.input))
+    a = matio.read_matrix(args.input)
     result = solve(args.method, a, cfg)
     record = matio.result_record(args.method, args.rank, result)
     if args.output:
-        matio.write_matrix(result.y, args.output, matio.format_for_path(args.output))
+        matio.write_matrix(result.y, args.output)
     if args.trace:
         matio.write_json(record, args.trace)
     print(
@@ -146,22 +146,24 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if (args.out_b or args.out_c) and args.family != "separable_case1":
+        return _usage_error("--out-b and --out-c apply to --family separable_case1 only")
     if args.family == "uniform":
         matrix = gen_uniform(args.m, args.n, args.seed)
     elif args.family == "separable_case1":
         matrix, b_true, c_true = gen_separable_case1(args.sigma, args.seed)
         if args.out_b:
-            matio.write_matrix(b_true, args.out_b, matio.format_for_path(args.out_b))
+            matio.write_matrix(b_true, args.out_b)
         if args.out_c:
-            matio.write_matrix(c_true, args.out_c, matio.format_for_path(args.out_c))
+            matio.write_matrix(c_true, args.out_c)
     elif args.family == "orthogonal_decomposable":
         matrix = gen_orthogonal_decomposable(args.sigma, args.seed)
     else:
         if not args.points:
             return _usage_error("graph_similarity requires --points")
-        points = matio.read_matrix(args.points, matio.format_for_path(args.points))
+        points = matio.read_matrix(args.points)
         matrix = gen_graph_similarity(points)
-    matio.write_matrix(matrix, args.out, matio.format_for_path(args.out))
+    matio.write_matrix(matrix, args.out)
     with open(args.out, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     print(f"{matrix.shape[0]}x{matrix.shape[1]} sha256={digest}")
@@ -202,10 +204,6 @@ def main(argv=None) -> int:
     except (OSError, NlrmError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def console_entry() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

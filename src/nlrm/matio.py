@@ -2,13 +2,14 @@
 
 Two matrix formats are supported: headerless comma-separated values
 (row-major) and the MatrixMarket dense "array" format (column-major, as
-the format requires).  Values are written with 17 significant digits so a
-read of a write reproduces every float64 bit-for-bit.  Both formats are
-read with ``np.loadtxt`` from an open file, which holds about the output
-array and not the file text, and written with ``np.savetxt``.  When numpy
-rejects an input, a per-token pass with Python's ``float`` either names
-the offending line or reads the rare token only ``float`` accepts (``1_0``,
-non-ASCII digits).  Result files are JSON with a versioned schema.
+the format requires); a file's name picks its format unless the caller
+names one.  Values are written with 17 significant digits so a read of a
+write reproduces every float64 bit-for-bit.  Both formats are read with
+``np.loadtxt`` from an open file, which holds about the output array and
+not the file text, and written with ``np.savetxt``.  When numpy rejects an
+input, a per-token pass with Python's ``float`` either names the offending
+line or reads the rare token only ``float`` accepts (``1_0``, non-ASCII
+digits).  Result files are JSON with a versioned schema.
 """
 
 import json
@@ -29,9 +30,10 @@ _FORMATS = (CSV, MATRIX_MARKET)
 _MM_BANNER = "%%MatrixMarket matrix array real general"
 
 
-def write_matrix(m, path, format: str = CSV) -> None:
-    """Write a matrix to ``path`` in the given format."""
+def write_matrix(m, path, format: str | None = None) -> None:
+    """Write a matrix to ``path`` in ``format``, by default ``format_for_path(path)``."""
     m = as_matrix(m, "matrix")
+    format = format_for_path(path) if format is None else format
     if 0 in m.shape:
         # neither format's reader accepts an empty matrix, so the round trip would break
         raise ShapeError(
@@ -51,13 +53,14 @@ def write_matrix(m, path, format: str = CSV) -> None:
         raise ParseError(f"unknown format {format!r}; expected one of {_FORMATS}")
 
 
-def read_matrix(path, format: str = CSV) -> np.ndarray:
-    """Read a matrix from ``path``; parse errors name the offending line."""
-    if format == CSV:
-        reader = _read_csv
-    elif format == MATRIX_MARKET:
-        reader = _read_matrix_market
-    else:
+def read_matrix(path, format: str | None = None) -> np.ndarray:
+    """Read a matrix from ``path``; parse errors name the offending line.
+
+    ``format`` defaults to ``format_for_path(path)``; an explicit one wins.
+    """
+    format = format_for_path(path) if format is None else format
+    reader = {CSV: _read_csv, MATRIX_MARKET: _read_matrix_market}.get(format)
+    if reader is None:
         raise ParseError(f"unknown format {format!r}; expected one of {_FORMATS}")
     try:
         return reader(path)

@@ -89,11 +89,17 @@ def tangent_project_structured(frame: TangentFrame, y: np.ndarray) -> TangentFac
     """Factored tangent projection from two thin QRs and a 2r x 2r core.
 
     QR inputs are computed as ``Y V - U (U'ized Y V)`` and the transposed
-    analogue so no m x n projector is ever formed.
+    analogue so no m x n projector is ever formed.  ``[U Q]`` and ``[V Qh]``
+    need 2r orthonormal columns, so 2r > min(m, n) raises :class:`ShapeError`;
+    use :func:`tangent_project_dense` there.
     """
     u, v = frame
     _check_frame_shapes(frame, y)
     r = u.shape[1]
+    if 2 * r > min(y.shape):
+        raise ShapeError(
+            f"structured tangent step needs 2r <= min(m, n) = {min(y.shape)}, got r={r}"
+        )
 
     yv = matmul(y, v)                        # m x r
     utyv = matmul(u.T, yv)                   # r x r, equals U'YV

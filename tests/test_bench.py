@@ -1,10 +1,12 @@
 """Benchmark harness: grid construction, aggregation, and determinism."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from nlrm import DomainError
-from nlrm.bench import report_csv_lines, run_bench, table1_grid
+from nlrm.bench import BenchCell, report_csv_lines, run_bench, table1_grid
 
 
 class TestGrid:
@@ -64,6 +66,24 @@ class TestRunBench:
         monkeypatch.setattr("nlrm.bench._run_cell", lambda *args: pytest.fail("a cell ran"))
         with pytest.raises(DomainError, match="invalid cell"):
             run_bench(grid)
+
+    def test_unknown_method_rejected_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr("nlrm.bench._run_cell", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            run_bench([(10, 2)], methods=("tap", "bogus"))
+
+    def test_csv_columns_are_cell_fields(self):
+        report = run_bench([(20, 2)], methods=("tap", "mu"), restarts=2, seed=3, max_iter=0)
+        lines = report_csv_lines(report)
+        names = [f.name for f in fields(BenchCell) if f.name != "error"]
+        assert lines[0].split(",") == names
+        assert report.cells[0].error is not None       # TAP needs max_iter >= 1
+        for cell, line in zip(report.cells, lines[1:]):
+            for name, text in zip(names, line.split(",")):
+                want = getattr(cell, name)
+                got = type(want)(text)
+                assert got == want or (np.isnan(got) and np.isnan(want))
+        assert report.to_dict()["cells"][1] == vars(report.cells[1])
 
     def test_csv_lines(self):
         report = run_bench([(20, 2)], methods=("tap",), trials=1, seed=0, max_iter=30)

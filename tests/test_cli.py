@@ -139,6 +139,12 @@ class TestApprox:
         assert main(["approx", str(src), "--rank", "10"]) == 2
         assert "min(m, n) = 9" in capsys.readouterr().err
 
+    def test_zero_matrix_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        write_matrix(np.zeros((4, 3)), path)
+        assert main(["approx", str(path), "--rank", "1"]) == 2
+        assert "cannot approximate a zero matrix" in capsys.readouterr().err
+
     def test_non_utf8_input_usage_error(self, tmp_path, capsys):
         src = tmp_path / "latin1.csv"
         src.write_bytes(b"1,2\n3,\xe9\n")
@@ -195,6 +201,35 @@ class TestGen:
         rc = main(["gen", "--family", "uniform", "--m", "3", "--n", "3", "--sigma", "-1",
                    "--out", str(tmp_path / "u.csv")])
         assert rc == 0
+
+    def test_separable_factors_written(self, tmp_path):
+        from nlrm import gen_separable_case1, read_matrix
+
+        b_path, c_path = tmp_path / "b.csv", tmp_path / "c.mtx"
+        rc = main(["gen", "--family", "separable_case1", "--sigma", "0.1", "--seed", "2",
+                   "--out", str(tmp_path / "sep.csv"),
+                   "--out-b", str(b_path), "--out-c", str(c_path)])
+        assert rc == 0
+        a, b, c = gen_separable_case1(0.1, 2)
+        assert np.array_equal(read_matrix(b_path), b)
+        assert c_path.read_text().startswith("%%MatrixMarket")
+        assert np.array_equal(read_matrix(c_path), c)
+        assert np.array_equal(read_matrix(tmp_path / "sep.csv"), a)
+
+    @pytest.mark.parametrize("family", ["uniform", "orthogonal_decomposable"])
+    @pytest.mark.parametrize("flag", ["--out-b", "--out-c"])
+    def test_factor_outputs_need_separable_family(self, tmp_path, capsys, family, flag):
+        rc = main(["gen", "--family", family, "--m", "3", "--n", "3",
+                   "--out", str(tmp_path / "g.csv"), flag, str(tmp_path / "f.csv")])
+        assert rc == 2
+        assert "separable_case1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_graph_similarity_needs_points(self, tmp_path, capsys):
+        rc = main(["gen", "--family", "graph_similarity", "--out", str(tmp_path / "sim.csv")])
+        assert rc == 2
+        assert "--points" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
 
     def test_graph_similarity_needs_ten_points(self, tmp_path):
         pts = tmp_path / "pts.csv"
@@ -309,6 +344,13 @@ class TestDiag:
         path.write_bytes(b"\xff\xfe[\x00]\x00")
         assert main(["diag", "--trace", str(path)]) == 2
         assert "not a UTF-8 text file" in capsys.readouterr().err
+
+    def test_repeated_iteration_usage_error(self, tmp_path, capsys):
+        rows = [{"iteration": k // 2, "rel_error": 0.5**k} for k in range(20)]
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(rows))
+        assert main(["diag", "--trace", str(path)]) == 2
+        assert "strictly increasing" in capsys.readouterr().err
 
     def test_constant_trace_insufficient(self, tmp_path):
         rows = [{"iteration": k, "rel_error": 0.3} for k in range(15)]

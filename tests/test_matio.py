@@ -110,6 +110,26 @@ class TestFormatSelection:
         with pytest.raises(ParseError):
             write_matrix(np.ones((2, 2)), tmp_path / "m.bin", "binary")
 
+    def test_default_format_follows_extension(self, tmp_path):
+        m = gen_uniform(5, 3, 8) - 0.5
+        path = tmp_path / "x.mtx"
+        write_matrix(m, path)
+        assert path.read_text().startswith("%%MatrixMarket matrix array real general\n5 3\n")
+        assert np.array_equal(read_matrix(path), m)
+        assert np.array_equal(read_matrix(path, "matrix_market_dense"), m)
+        csv_path = tmp_path / "x.csv"
+        write_matrix(m, csv_path)
+        assert np.array_equal(read_matrix(csv_path, "csv"), m)
+
+    def test_explicit_format_wins(self, tmp_path):
+        m = gen_uniform(4, 2, 9)
+        path = tmp_path / "x.mtx"
+        write_matrix(m, path, "csv")
+        assert path.read_text().count(",") == 4
+        assert np.array_equal(read_matrix(path, "csv"), m)
+        with pytest.raises(ParseError, match="line 1"):
+            read_matrix(path)
+
 
 class TestTraceIo:
     def test_round_trip(self, tmp_path):
@@ -363,6 +383,8 @@ MM_ERRORS = {
     "empty_file": "",
     "bad_banner": "%%MatrixMarket matrix\n2 2\n",
     "unsupported_field": "%%MatrixMarket matrix array complex general\n1 1\n1\n",
+    "unsupported_object": "%%MatrixMarket vector array real general\n1 1\n1\n",
+    "unsupported_symmetry": "%%MatrixMarket matrix array real symmetric\n1 1\n1\n",
     "bad_token_middle_line": MM_HEADER + "2 2\n1\noops\n3\n4\n",
     "nan": MM_HEADER + "2 2\n1\n2\nnan\n4\n",
     "inf": MM_HEADER + "2 2\n1\ninf\n3\n4\n",

@@ -168,6 +168,18 @@ class TestTangentProjectStructured:
         dense = tangent_project_dense(frame, y)
         assert frobenius_norm(fact.reconstruct() - dense) < 1e-10 * frobenius_norm(y)
 
+    def test_rank_above_half_min_dimension_rejected(self):
+        frame = random_frame(10, 12, 6, 31)
+        y = gen_uniform(10, 2, 32) @ gen_uniform(2, 12, 33)
+        with pytest.raises(ShapeError, match=r"2r <= min\(m, n\) = 10, got r=6"):
+            tangent_project_structured(frame, y)
+
+    def test_rank_at_half_min_dimension_orthonormal(self):
+        frame = random_frame(10, 12, 5, 34)
+        fact = tangent_project_structured(frame, gen_uniform(10, 12, 35) - 0.5)
+        assert np.abs(fact.left.T @ fact.left - np.eye(10)).max() < 1e-11
+        assert np.abs(fact.right.T @ fact.right - np.eye(10)).max() < 1e-11
+
     def test_zero_input(self):
         frame = random_frame(9, 7, 2, 23)
         fact = tangent_project_structured(frame, np.zeros((9, 7)))

@@ -114,6 +114,10 @@ class TestApSolve:
         assert not res.converged
         assert len(res.trace) == 1
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            solve("bogus", gen_uniform(4, 4, 0), SolverConfig(rank=1))
+
 
 class TestTapSolve:
     def test_fixed_point_one_iteration(self):
