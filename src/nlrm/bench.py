@@ -47,7 +47,10 @@ class BenchReport:
     cells: list = field(default_factory=list)
 
     def to_dict(self):
-        return asdict(self)
+        """``asdict``, with a failed cell's ``nan`` numbers as ``None``: JSON has no NaN."""
+        report = asdict(self)
+        cells = [{k: None if v != v else v for k, v in c.items()} for c in report["cells"]]
+        return {**report, "cells": cells}
 
 
 def table1_grid(sizes=None):

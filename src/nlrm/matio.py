@@ -100,14 +100,10 @@ def _read_csv(path):
 
 def _read_matrix_market(path):
     with open(path, encoding="utf-8") as fh:
-        lines = []              # banner, "%" comment lines, size line
-        for line in iter(fh.readline, ""):
-            lines.append(line)
-            if not line.lstrip().startswith("%"):
-                break
-        if not lines:
+        first = fh.readline()
+        if not first:
             raise ParseError(f"{path}: empty file")
-        banner = lines[0].strip().split()
+        banner = first.split()
         if len(banner) != 5 or banner[0] != "%%MatrixMarket":
             raise ParseError(f"{path}: line 1: not a MatrixMarket header")
         obj, fmt, field, symmetry = (tok.lower() for tok in banner[1:])
@@ -122,22 +118,23 @@ def _read_matrix_market(path):
         if symmetry != "general":
             raise ParseError(f"{path}: line 1: unsupported symmetry {symmetry!r}")
 
-        idx = 1
-        while idx < len(lines) and lines[idx].lstrip().startswith("%"):
-            idx += 1
-        if idx >= len(lines):
+        # skip "%" comment lines; the first other line is the size line
+        for lineno, size_line in enumerate(iter(fh.readline, ""), start=2):
+            if not size_line.lstrip().startswith("%"):
+                break
+        else:
             raise ParseError(f"{path}: missing size line")
-        size_tokens = lines[idx].split()
+        size_tokens = size_line.split()
         if len(size_tokens) != 2:
             raise ParseError(
-                f"{path}: line {idx + 1}: size line must be 'rows cols', got {lines[idx]!r}"
+                f"{path}: line {lineno}: size line must be 'rows cols', got {size_line!r}"
             )
         try:
             rows, cols = int(size_tokens[0]), int(size_tokens[1])
         except ValueError:
-            raise ParseError(f"{path}: line {idx + 1}: non-integer size entry") from None
+            raise ParseError(f"{path}: line {lineno}: non-integer size entry") from None
         if rows < 1 or cols < 1:
-            raise ParseError(f"{path}: line {idx + 1}: dimensions must be positive")
+            raise ParseError(f"{path}: line {lineno}: dimensions must be positive")
 
         start = fh.tell()
         values = _loadtxt(fh, None)
@@ -145,7 +142,7 @@ def _read_matrix_market(path):
             # a bad token is reported before a wrong count, with its line number
             fh.seek(start)
             values = []
-            for lineno, text in enumerate(fh.read().split("\n"), start=idx + 2):
+            for lineno, text in enumerate(fh.read().split("\n"), start=lineno + 1):
                 for tok in text.split():
                     values.append(_parse_value(tok, path, lineno))
             if len(values) != rows * cols:
@@ -200,9 +197,9 @@ def result_record(method: str, rank: int, result) -> dict:
 
 
 def write_json(obj, path) -> None:
+    text = json.dumps(obj, indent=2, allow_nan=False)  # NaN and Infinity are not JSON
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_trace(path) -> IterationTrace:

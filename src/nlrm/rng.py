@@ -38,9 +38,9 @@ def random_uniform(seed: int, count: int, offset: int = 0) -> np.ndarray:
     return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def uniform_matrix(rows: int, cols: int, seed: int, offset: int = 0) -> np.ndarray:
+def uniform_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     """Row-major ``rows x cols`` matrix of uniform [0, 1) entries."""
-    return random_uniform(seed, rows * cols, offset).reshape(rows, cols)
+    return random_uniform(seed, rows * cols).reshape(rows, cols)
 
 
 def derive_seed(seed: int, index: int) -> int:

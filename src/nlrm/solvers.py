@@ -15,13 +15,14 @@ by name.
 import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Real
 from time import perf_counter
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import instrument
-from .errors import DomainError, InsufficientDataError, ShapeError
+from .errors import DomainError, InsufficientDataError, NumericError, ShapeError
 from .linalg import SvdTriplet, as_matrix, frobenius_norm, matmul
 from .projections import (
     TangentFrame,
@@ -54,7 +55,6 @@ class SolverConfig:
     rank: int
     max_iter: int = 1000
     rel_change_tol: float = 1e-6
-    time_limit: Optional[float] = None
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -65,10 +65,6 @@ class SolverConfig:
         if not 0 < self.rel_change_tol < math.inf:
             raise DomainError(
                 f"rel_change_tol must be finite and > 0, got {self.rel_change_tol}"
-            )
-        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
-            raise DomainError(
-                f"time_limit must be finite and > 0, got {self.time_limit}"
             )
 
 
@@ -83,8 +79,8 @@ class TraceRecord(NamedTuple):
 class IterationTrace:
     """Per-iteration error/time records of a solver run.
 
-    ``converged`` is set by the solver loop when its stopping rule, not
-    ``max_iter`` or ``time_limit``, ended the run.
+    ``converged`` is set by the solver loop when its stopping rule ended
+    the run; a run that is not ``converged`` is one that ``max_iter`` ended.
     """
 
     records: list = field(default_factory=list)
@@ -116,15 +112,17 @@ class IterationTrace:
 
     @classmethod
     def from_dicts(cls, rows):
-        """Trace from ``to_dicts`` rows; a non-finite value raises :class:`DomainError`."""
+        """Trace from ``to_dicts`` rows: a non-integer ``iteration`` or a non-numeric
+        field (booleans are neither) raises :class:`TypeError`, a non-finite one
+        :class:`DomainError`."""
         trace = cls()
         for row in rows:
-            rec = TraceRecord(
-                int(row["iteration"]),
-                float(row["rel_error"]),
-                float(row.get("seconds", 0.0)),
-                float(row.get("min_entry", 0.0)),
-            )
+            values = (row["iteration"], row["rel_error"],
+                      row.get("seconds", 0.0), row.get("min_entry", 0.0))
+            if not all(isinstance(v, kind) and not isinstance(v, bool)
+                       for v, kind in zip(values, (int, Real, Real, Real))):
+                raise TypeError(f"expected an integer iteration and numeric fields, got {row}")
+            rec = TraceRecord(int(values[0]), *map(float, values[1:]))
             if not all(map(math.isfinite, rec[1:])):
                 raise DomainError(f"non-finite value in record {rec}")
             trace.append(rec)
@@ -345,10 +343,9 @@ def _iterate(a, cfg, first, step, on_iterate=None):
 
     ``step(a, k)`` returns the dense iterate of iteration ``k``: the
     initialization at ``k == first``, one update after that.  Each
-    iteration is timed and traced; the run ends at ``cfg.max_iter``, at
-    ``cfg.time_limit`` (checked before each update), or on the stopping
-    rule, which alone marks the trace ``converged``.  Returns the validated
-    input, its Frobenius norm and the trace.
+    iteration is timed and traced; the run ends on the stopping rule, which
+    marks the trace ``converged``, or else at ``cfg.max_iter``.  Returns the
+    validated input, its Frobenius norm and the trace.
     """
     a = as_matrix(a, "input matrix")
     if (a < 0).any():
@@ -360,14 +357,14 @@ def _iterate(a, cfg, first, step, on_iterate=None):
     norm_a = frobenius_norm(a)
     if norm_a == 0.0:
         raise DomainError("cannot approximate a zero matrix (relative error undefined)")
+    if norm_a == math.inf:
+        raise NumericError("input matrix norm overflows float64 (relative error undefined)")
 
     eps = float(np.finfo(np.float64).eps)
     trace = IterationTrace()
     elapsed = 0.0
     prev = math.inf  # the initialization has no relative change to test
     for k in range(first, cfg.max_iter + 1):
-        if cfg.time_limit is not None and elapsed >= cfg.time_limit:
-            break
         tic = perf_counter()
         dense = step(a, k)
         err = frobenius_norm(a - dense) / norm_a

@@ -315,6 +315,21 @@ class TestBench:
         assert errors["mu"] is None and errors["hals"] is None
         assert errors["tap"] == errors["ap"] == "DomainError: projection solvers need max_iter >= 1"
 
+    def test_all_failed_report_is_strict_json(self, tmp_path):
+        def reject(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        rc = main(["bench", "--sizes", "4", "--ranks", "1", "--methods", "tap", "ap",
+                   "--max-iter", "0", "--output", str(tmp_path / "rep.json")])
+        assert rc == 3
+        cells = json.loads((tmp_path / "rep.json").read_text(), parse_constant=reject)["cells"]
+        for cell in cells:
+            assert cell["error"] is not None
+            assert [cell[k] for k in ("mean_rel_error", "min_rel_error", "max_rel_error",
+                                      "mean_seconds", "median_seconds")] == [None] * 5
+        csv_row = (tmp_path / "rep.csv").read_text().splitlines()[1]
+        assert csv_row.endswith(",nan,nan,nan,nan,nan,0,0")
+
 
 class TestDiag:
     def test_geometric_trace(self, tmp_path, capsys):
@@ -359,7 +374,9 @@ class TestDiag:
         assert main(["diag", "--trace", str(path)]) == 2
 
     @pytest.mark.parametrize("field, text", [("rel_error", "Infinity"), ("seconds", "NaN"),
-                                             ("min_entry", "-1e400"), ("iteration", "Infinity")])
+                                             ("min_entry", "-1e400"), ("iteration", "Infinity"),
+                                             ("iteration", "3.5"), ("iteration", '"3"'),
+                                             ("rel_error", '"0.125"'), ("seconds", "true")])
     def test_non_finite_trace_usage_error(self, tmp_path, capsys, field, text):
         rows = [json.dumps({"iteration": k, "rel_error": 0.5**k}) for k in range(15)]
         rows[3] = rows[3][:-1] + f', "{field}": {text}}}'

@@ -16,7 +16,7 @@ from nlrm import (
     unmixing_metrics,
 )
 from nlrm.datagen import _orthogonal_factors
-from nlrm.rng import random_uniform
+from nlrm.rng import random_uint64, random_uniform
 
 
 class TestGenUniform:
@@ -37,6 +37,10 @@ class TestGenUniform:
     def test_bad_dims(self):
         with pytest.raises(ShapeError):
             gen_uniform(0, 4, 0)
+
+    def test_negative_draw_count_rejected(self):
+        with pytest.raises(ValueError, match="^count and offset must be nonnegative$"):
+            random_uint64(0, -1)
 
 
 class TestGenSeparableCase1:
@@ -147,6 +151,14 @@ class TestGenGraphSimilarity:
         with pytest.raises(DomainError):
             gen_graph_similarity(gen_uniform(5, 2, 18))
 
+    def test_one_dimensional_points_rejected(self):
+        with pytest.raises(ShapeError, match="^points must be an n x d array of coordinates$"):
+            gen_graph_similarity(np.ones(12))
+
+    def test_coincident_points_rejected(self):
+        with pytest.raises(DomainError, match="local scale is zero$"):
+            gen_graph_similarity(np.ones((10, 2)))
+
     def test_feeds_solver_and_stays_symmetric(self):
         from nlrm import SolverConfig, tap_solve
 
@@ -210,3 +222,11 @@ class TestUnmixingMetrics:
             unmixing_metrics(
                 np.ones((3, 5)), np.ones((3, 6)), np.ones((4, 3)), np.ones((4, 3))
             )
+
+    @pytest.mark.parametrize("est_a, tru_a, message", [
+        ((4, 3), (5, 3), r"^abundance shapes differ: \(4, 3\) vs \(5, 3\)$"),
+        ((4, 2), (4, 2), "^3 spectra rows vs 2 abundance columns$"),
+    ])
+    def test_abundance_shape_mismatch(self, est_a, tru_a, message):
+        with pytest.raises(ShapeError, match=message):
+            unmixing_metrics(np.ones((3, 5)), np.ones((3, 5)), np.ones(est_a), np.ones(tru_a))

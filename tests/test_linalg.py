@@ -77,6 +77,10 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             matmul(np.ones((2, 3)), np.ones((2, 3)))
 
+    def test_one_dimensional_operand_rejected(self):
+        with pytest.raises(ShapeError, match="^matmul operands must be 2-D$"):
+            matmul(np.ones((2, 3)), np.ones(3))
+
 
 class TestHouseholderQr:
     def test_orthonormal_input(self):
@@ -117,6 +121,10 @@ class TestHouseholderQr:
     def test_wide_input_rejected(self):
         with pytest.raises(ShapeError):
             householder_qr(np.ones((3, 5)))
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ShapeError, match="^householder_qr input must be 2-D$"):
+            householder_qr(np.ones(3))
 
 
 class TestThinSvd:
@@ -170,6 +178,10 @@ class TestThinSvd:
         a[1, 1] = np.nan
         with pytest.raises(NumericError):
             thin_svd(a)
+
+    def test_no_rows_gives_no_triplets(self):
+        u, s, v = thin_svd(np.zeros((0, 3)))
+        assert (u.shape, s.shape, v.shape) == ((0, 0), (0,), (3, 0))
 
     def test_backend_failure_wrapped(self, monkeypatch):
         def explode(*args, **kwargs):

@@ -110,6 +110,12 @@ class TestFormatSelection:
         with pytest.raises(ParseError):
             write_matrix(np.ones((2, 2)), tmp_path / "m.bin", "binary")
 
+    def test_unknown_read_format_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix(np.ones((2, 2)), path)
+        with pytest.raises(ParseError, match=r"^unknown format 'bogus'; expected one of \("):
+            read_matrix(path, "bogus")
+
     def test_default_format_follows_extension(self, tmp_path):
         m = gen_uniform(5, 3, 8) - 0.5
         path = tmp_path / "x.mtx"

@@ -64,6 +64,10 @@ class TestProjectFixedRank:
         with pytest.raises(ShapeError):
             project_fixed_rank(a, 5)
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ShapeError, match="^project_fixed_rank input must be 2-D$"):
+            project_fixed_rank(np.ones(5), 1)
+
 
 class TestProjectNonnegative:
     def test_nonnegative_unchanged(self):
@@ -135,6 +139,19 @@ class TestTangentProjectDense:
         frame = random_frame(10, 8, 2, 18)
         with pytest.raises(ShapeError):
             tangent_project_dense(frame, np.ones((8, 10)))
+
+    @pytest.mark.parametrize("project", [tangent_project_dense, tangent_project_structured])
+    def test_one_dimensional_operand_rejected(self, project):
+        u, v = random_frame(10, 8, 2, 18)
+        with pytest.raises(ShapeError, match="^tangent projection operands must be 2-D$"):
+            project(TangentFrame(u, v[:, 0]), np.ones((10, 8)))
+
+    @pytest.mark.parametrize("project", [tangent_project_dense, tangent_project_structured])
+    def test_frame_rank_mismatch_rejected(self, project):
+        u, _ = random_frame(10, 8, 2, 18)
+        _, v = random_frame(10, 8, 3, 19)
+        with pytest.raises(ShapeError, match="^frame rank mismatch: u has 2 columns, v has 3$"):
+            project(TangentFrame(u, v), np.ones((10, 8)))
 
 
 class TestTangentProjectStructured:
