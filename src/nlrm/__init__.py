@@ -16,7 +16,6 @@ from .datagen import (
     gen_orthogonal_decomposable,
     gen_separable_case1,
     gen_uniform,
-    unmixing_metrics,
 )
 from .errors import (
     DomainError,
@@ -107,6 +106,5 @@ __all__ = [
     "tangent_project_structured",
     "tap_solve",
     "thin_svd",
-    "unmixing_metrics",
     "write_matrix",
 ]

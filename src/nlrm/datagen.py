@@ -1,5 +1,4 @@
-"""Deterministic generators for the synthetic dataset families, plus the
-unmixing quality metrics.
+"""Deterministic generators for the synthetic dataset families.
 
 All randomness is drawn from the counter-based stream in :mod:`nlrm.rng`,
 so a (family, seed) pair pins the dataset bit-for-bit on every platform.
@@ -106,53 +105,3 @@ def gen_graph_similarity(points) -> np.ndarray:
     np.fill_diagonal(a, 0.0)
     return a
 
-
-def unmixing_metrics(estimated_spectra, truth_spectra, estimated_abundance, truth_abundance):
-    """Spectral angle distance and abundance similarity of an unmixing result.
-
-    Rows of the spectra matrices are endmember spectra; columns of the
-    abundance matrices are per-endmember features.  Each metric greedily
-    matches its own estimated/truth pairs by cosine before averaging:
-    SAD is the mean arccos over matched spectra rows (lower is better),
-    Similarity the mean cosine over matched abundance columns (higher is
-    better).  Returns ``(sad, similarity)``.
-    """
-    est_s = np.asarray(estimated_spectra, dtype=np.float64)
-    tru_s = np.asarray(truth_spectra, dtype=np.float64)
-    est_a = np.asarray(estimated_abundance, dtype=np.float64)
-    tru_a = np.asarray(truth_abundance, dtype=np.float64)
-    if est_s.shape != tru_s.shape:
-        raise ShapeError(f"spectra shapes differ: {est_s.shape} vs {tru_s.shape}")
-    if est_a.shape != tru_a.shape:
-        raise ShapeError(f"abundance shapes differ: {est_a.shape} vs {tru_a.shape}")
-    if est_s.shape[0] != est_a.shape[1]:
-        raise ShapeError(
-            f"{est_s.shape[0]} spectra rows vs {est_a.shape[1]} abundance columns"
-        )
-
-    spec_cos = _cosine_table(est_s, tru_s)
-    sad = float(np.mean(np.arccos(np.clip(_greedy_match(spec_cos), -1.0, 1.0))))
-    abun_cos = _cosine_table(est_a.T, tru_a.T)
-    similarity = float(np.mean(_greedy_match(abun_cos)))
-    return sad, similarity
-
-
-def _cosine_table(est_rows, tru_rows):
-    est_norms = np.linalg.norm(est_rows, axis=1)
-    tru_norms = np.linalg.norm(tru_rows, axis=1)
-    if (est_norms == 0.0).any() or (tru_norms == 0.0).any():
-        raise DomainError("zero-norm vector in unmixing metric input")
-    return (est_rows @ tru_rows.T) / np.outer(est_norms, tru_norms)
-
-
-def _greedy_match(cos_table):
-    """Cosines of greedily matched pairs, best matches claimed first."""
-    table = cos_table.copy()
-    r = table.shape[0]
-    matched = []
-    for _ in range(r):
-        i, j = np.unravel_index(np.argmax(table), table.shape)
-        matched.append(cos_table[i, j])
-        table[i, :] = -np.inf
-        table[:, j] = -np.inf
-    return np.array(matched)

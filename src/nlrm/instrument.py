@@ -13,7 +13,10 @@ from dataclasses import dataclass, field
 
 @dataclass
 class OpLog:
-    """Shapes observed while a ``record_ops`` context was active."""
+    """Shapes observed while a ``record_ops`` context was active.
+
+    ``svd_shapes`` has one entry per full or core decomposition, SVD or ``eigh``.
+    """
 
     matmul_shapes: list = field(default_factory=list)  # (rows_a, inner, cols_b)
     svd_shapes: list = field(default_factory=list)     # (rows, cols)

@@ -13,7 +13,9 @@ Conventions:
 * SVD: thin factorization, singular values nonincreasing, and each left
   singular vector's largest-magnitude entry made positive (the matching
   right vector is flipped with it).  Exactly equal singular values keep
-  the backend's order.
+  the backend's order.  A symmetric matrix may instead be decomposed by
+  one ``eigh``: singular values are the eigenvalues' magnitudes and each
+  right vector is its left vector times the eigenvalue's sign.
 """
 
 from typing import NamedTuple
@@ -67,8 +69,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(a))
+    """Square root of the sum of squared entries; ``inf``, silently, on overflow."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(a))
 
 
 def householder_qr(a: np.ndarray) -> QrFactors:
@@ -91,25 +94,45 @@ def householder_qr(a: np.ndarray) -> QrFactors:
     return QrFactors(q, r)
 
 
-def thin_svd(a: np.ndarray) -> SvdTriplet:
+def thin_svd(a: np.ndarray, symmetric: bool = False) -> SvdTriplet:
     """Thin SVD with ``min(m, n)`` triplets and the package sign convention.
+
+    With ``symmetric=True`` the square input is decomposed by one
+    ``eigh``, which reads only its lower triangle, so a matrix that is
+    symmetric up to rounding is decomposed as that triangle's symmetric
+    completion.  Eigenpairs are ordered by |lambda|, descending, with a
+    stable sort: equal magnitudes keep ``eigh``'s ascending order, so
+    -c precedes c.  The triplet is ``(u, |lambda|, u * sign lambda)``
+    (sign +1 at lambda = 0).  Either route is logged as one ``(m, n)``
+    decomposition.
 
     Raises :class:`NumericError` if the iterative backend fails to
     converge (the backend does not report its iteration count; the error
     carries the routine name and shape instead).
     """
     m, n = _require_2d(a, "thin_svd input")
+    if symmetric and m != n:
+        raise ShapeError(f"symmetric thin_svd needs a square input, got {m}x{n}")
     if not np.isfinite(a).all():
         raise NumericError("thin_svd input contains non-finite entries")
     instrument.log_svd(m, n)
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        u, s, vt = _eigh_svd(a) if symmetric else np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
+        routine = "syevd" if symmetric else "gesdd"
         raise NumericError(
-            f"SVD did not converge (lapack gesdd, shape {m}x{n})"
+            f"SVD did not converge (lapack {routine}, shape {m}x{n})"
         ) from exc
     u, v = apply_sign_convention(u, vt.T)
     return SvdTriplet(u, s, v)
+
+
+def _eigh_svd(a: np.ndarray):
+    """``np.linalg.svd``'s ``(u, s, vt)`` of a symmetric matrix, from one ``eigh``."""
+    lam, u = np.linalg.eigh(a)
+    order = np.argsort(-np.abs(lam), kind="stable")
+    lam, u = lam[order], u[:, order]
+    return u, np.abs(lam), (u * np.where(lam < 0.0, -1.0, 1.0)).T
 
 
 def apply_sign_convention(u: np.ndarray, v: np.ndarray):

@@ -45,11 +45,13 @@ class TangentFactored(NamedTuple):
         return matmul(matmul(self.left, self.core), self.right.T)
 
 
-def project_fixed_rank(a: np.ndarray, rank: int) -> SvdTriplet:
+def project_fixed_rank(a: np.ndarray, rank: int, symmetric: bool = False) -> SvdTriplet:
     """Best rank-``rank`` approximation of ``a`` in Frobenius norm.
 
     Returns the top-``rank`` singular triplet; reconstruction gives the
-    closest matrix of rank at most ``rank``.
+    closest matrix of rank at most ``rank``.  ``symmetric=True`` takes
+    :func:`thin_svd`'s ``eigh`` route, which truncates the symmetric
+    completion of ``a``'s lower triangle: exactly ``a`` when ``a == a.T``.
     """
     if a.ndim != 2:
         raise ShapeError("project_fixed_rank input must be 2-D")
@@ -58,7 +60,7 @@ def project_fixed_rank(a: np.ndarray, rank: int) -> SvdTriplet:
         raise ShapeError(
             f"rank must satisfy 1 <= rank <= min(m, n) = {min(m, n)}, got {rank}"
         )
-    u, s, v = thin_svd(a)
+    u, s, v = thin_svd(a, symmetric=symmetric)
     return SvdTriplet(
         np.ascontiguousarray(u[:, :rank]),
         np.ascontiguousarray(s[:rank]),

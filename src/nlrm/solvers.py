@@ -6,7 +6,9 @@ fixed-rank manifold with a full SVD of the dense iterate every step,
 while ``tap_solve`` projects onto the tangent space at the previous
 iterate first and retracts through a 2r x 2r core, so when 2r <= min(m, n)
 the only full-size SVD is the initialization (above that rank each step
-falls back to a full SVD).  Both then clamp at zero.  NMF baselines
+falls back to a full SVD).  Both then clamp at zero.  On an exactly
+symmetric input every full-size truncation is one ``eigh`` instead of an
+SVD (see :func:`nlrm.linalg.thin_svd`).  NMF baselines
 (multiplicative updates and HALS) and the empirical contraction-rate
 estimator round out the comparison tooling; ``solve`` runs any solver
 by name.
@@ -197,7 +199,8 @@ def ap_solve(
     """Alternating projections with a full truncated SVD every iteration.
 
     Iterates ``X <- best_rank_r(Y)``, ``Y <- clamp(X)`` from ``X = best
-    rank r of A``.  ``on_iterate(k, x_dense, y)``, when given, is called
+    rank r of A``, each truncation one ``eigh`` when ``a`` is exactly
+    symmetric.  ``on_iterate(k, x_dense, y)``, when given, is called
     after every iteration (used by tests to inspect iterates).
     """
     return _project_solve(a, cfg, use_tangent=False, on_iterate=on_iterate)
@@ -215,6 +218,8 @@ def tap_solve(
     2r x 2r core, so no further m x n SVD is performed.  That holds when
     2r <= min(m, n); above that rank each step evaluates the projection
     densely and truncates it with a full SVD, as :func:`ap_solve` does.
+    When ``a`` is square and exactly equal to ``a.T``, the initial and the
+    fallback truncations each run one ``eigh`` in place of that SVD.
     """
     return _project_solve(a, cfg, use_tangent=True, on_iterate=on_iterate)
 
@@ -224,18 +229,26 @@ def _project_solve(a, cfg, use_tangent, on_iterate):
         raise DomainError("projection solvers need max_iter >= 1")
     r = cfg.rank
     x = y = None
+    sym = False
 
     def step(a, k):
-        nonlocal x, y
+        nonlocal x, y, sym
         m, n = a.shape
         if k == 1:
-            x = project_fixed_rank(a, r)
+            # An exactly symmetric input sends every full-size truncation
+            # through eigh.  Later truncation inputs are symmetric only up to
+            # rounding; eigh reads one triangle, which truncates its symmetric
+            # completion.  The first row against the first column rejects most
+            # other inputs in O(n).
+            sym = m == n and np.array_equal(a[0], a[:, 0]) and np.array_equal(a, a.T)
+            x = project_fixed_rank(a, r, symmetric=sym)
         elif not use_tangent:
-            x = project_fixed_rank(y, r)
+            x = project_fixed_rank(y, r, symmetric=sym)
         elif 2 * r > min(m, n):
             # [U Q] cannot have 2r orthonormal columns here; fall back
             # to the dense evaluation of the same operator.
-            x = project_fixed_rank(tangent_project_dense(TangentFrame(x.u, x.v), y), r)
+            dense = tangent_project_dense(TangentFrame(x.u, x.v), y)
+            x = project_fixed_rank(dense, r, symmetric=sym)
         else:
             x = retract_to_rank(tangent_project_structured(TangentFrame(x.u, x.v), y), r)
         x_dense = x.reconstruct()

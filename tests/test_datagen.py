@@ -1,4 +1,4 @@
-"""Generator determinism and structure, plus the unmixing metrics."""
+"""Generator determinism and structure."""
 
 import math
 
@@ -13,10 +13,9 @@ from nlrm import (
     gen_separable_case1,
     gen_uniform,
     project_fixed_rank,
-    unmixing_metrics,
 )
 from nlrm.datagen import _orthogonal_factors
-from nlrm.rng import random_uint64, random_uniform
+from nlrm.rng import random_uint64
 
 
 class TestGenUniform:
@@ -172,61 +171,3 @@ class TestGenGraphSimilarity:
         )
         assert max(worst) < 1e-9
 
-
-class TestUnmixingMetrics:
-    def test_perfect_recovery(self):
-        spectra = gen_uniform(4, 12, 21) + 0.1
-        abundance = gen_uniform(9, 4, 22) + 0.1
-        sad, similarity = unmixing_metrics(spectra, spectra, abundance, abundance)
-        assert abs(sad) < 1e-7
-        np.testing.assert_allclose(similarity, 1.0, atol=1e-12)
-
-    def test_orthogonal_rows_give_right_angle(self):
-        est = np.eye(3, 6)
-        tru = np.roll(np.eye(3, 6), 3, axis=1)  # disjoint supports
-        abundance = gen_uniform(5, 3, 23) + 0.1
-        sad, _ = unmixing_metrics(est, tru, abundance, abundance)
-        np.testing.assert_allclose(sad, np.pi / 2)
-
-    def test_permutation_invariance(self):
-        spectra = gen_uniform(4, 10, 24) + 0.1
-        abundance = gen_uniform(8, 4, 25) + 0.1
-        perm = [2, 0, 3, 1]
-        sad, similarity = unmixing_metrics(
-            spectra[perm], spectra, abundance[:, perm], abundance
-        )
-        assert abs(sad) < 1e-7
-        np.testing.assert_allclose(similarity, 1.0, atol=1e-12)
-
-    def test_sad_grows_with_noise(self):
-        spectra = gen_uniform(4, 12, 26) + 0.1
-        abundance = gen_uniform(9, 4, 27) + 0.1
-        sads = []
-        for level in (0.0, 0.2, 0.4, 0.8, 1.6):
-            noise = (random_uniform(99, spectra.size).reshape(spectra.shape) - 0.5)
-            est = np.abs(spectra + level * noise)
-            sad, _ = unmixing_metrics(est, spectra, abundance, abundance)
-            sads.append(sad)
-        assert all(b > a for a, b in zip(sads, sads[1:]))
-
-    def test_zero_vector_rejected(self):
-        spectra = gen_uniform(3, 5, 28)
-        bad = spectra.copy()
-        bad[1] = 0.0
-        abundance = gen_uniform(4, 3, 29) + 0.1
-        with pytest.raises(DomainError):
-            unmixing_metrics(bad, spectra, abundance, abundance)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            unmixing_metrics(
-                np.ones((3, 5)), np.ones((3, 6)), np.ones((4, 3)), np.ones((4, 3))
-            )
-
-    @pytest.mark.parametrize("est_a, tru_a, message", [
-        ((4, 3), (5, 3), r"^abundance shapes differ: \(4, 3\) vs \(5, 3\)$"),
-        ((4, 2), (4, 2), "^3 spectra rows vs 2 abundance columns$"),
-    ])
-    def test_abundance_shape_mismatch(self, est_a, tru_a, message):
-        with pytest.raises(ShapeError, match=message):
-            unmixing_metrics(np.ones((3, 5)), np.ones((3, 5)), np.ones(est_a), np.ones(tru_a))

@@ -1,5 +1,7 @@
 """Kernel-level tests: products, QR, SVD, norms, and their conventions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,12 @@ from nlrm import (
     NumericError,
     ShapeError,
     frobenius_norm,
+    gen_graph_similarity,
     gen_uniform,
     householder_qr,
     matmul,
+    project_fixed_rank,
+    record_ops,
     thin_svd,
 )
 
@@ -192,6 +197,74 @@ class TestThinSvd:
             thin_svd(np.ones((3, 3)))
 
 
+def symmetric_cases():
+    """Symmetric inputs for the eigh route, by name."""
+    cases = {}
+    for seed, n in ((14, 7), (15, 20), (16, 45)):
+        b = gen_uniform(n, n, seed) - 0.5
+        cases[f"random-{n}"] = b + b.T
+    cases["graph-zero-diagonal"] = gen_graph_similarity(gen_uniform(40, 2, 17) * 3.0)
+    c = gen_uniform(12, 3, 18)
+    cases["rank-3-indefinite"] = (c * [1.0, -2.0, 3.0]) @ c.T
+    cases["one-by-one"] = np.array([[-2.5]])
+    cases["zeros"] = np.zeros((5, 5))
+    return cases
+
+
+class TestThinSvdSymmetric:
+    @pytest.mark.parametrize("name", sorted(symmetric_cases()))
+    def test_matches_gesdd(self, name):
+        a = symmetric_cases()[name]
+        t = thin_svd(a, symmetric=True)
+        s = thin_svd(a).s
+        np.testing.assert_allclose(t.s, s, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(t.reconstruct(), a, rtol=0, atol=1e-12)
+        # Both routes are backward stable, so their rank-r truncations agree
+        # to rounding times the truncation's condition number s_1 / gap:
+        # 1e-12, or that first-order bound where the gap is narrower.
+        eps = np.finfo(np.float64).eps
+        for r in range(1, len(s)):
+            gap = s[r - 1] - s[r]
+            if gap > 0:
+                got = project_fixed_rank(a, r, symmetric=True).reconstruct()
+                want = project_fixed_rank(a, r).reconstruct()
+                bound = max(1e-12, eps * s[0] ** 2 / gap)
+                np.testing.assert_allclose(got, want, rtol=0, atol=bound)
+
+    def test_indefinite_input_has_negative_eigenvalues(self):
+        # the graph case's zero diagonal makes its trace, the sum of eigenvalues, zero
+        u, s, v = thin_svd(symmetric_cases()["graph-zero-diagonal"], symmetric=True)
+        flipped = (u * v).sum(axis=0) < 0
+        assert flipped.any() and not flipped.all()
+        np.testing.assert_array_equal(np.abs(u), np.abs(v))
+
+    def test_order_by_magnitude_ties_keep_ascending_eigenvalues(self):
+        u, s, v = thin_svd(np.diag([-1.0, 1.0, 2.0]), symmetric=True)
+        np.testing.assert_array_equal(s, [2.0, 1.0, 1.0])
+        np.testing.assert_array_equal(np.abs(u), np.eye(3)[:, [2, 0, 1]])
+        np.testing.assert_array_equal(v, u * [1.0, -1.0, 1.0])
+
+    def test_sign_convention_and_logging(self):
+        a = symmetric_cases()["random-20"]
+        with record_ops() as log:
+            u, _, _ = thin_svd(a, symmetric=True)
+        assert log.svd_shapes == [(20, 20)]
+        lead = np.argmax(np.abs(u), axis=0)
+        assert (u[lead, np.arange(20)] > 0).all()
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ShapeError, match="^symmetric thin_svd needs a square input, got 3x4$"):
+            thin_svd(np.ones((3, 4)), symmetric=True)
+
+    def test_backend_failure_wrapped(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", explode)
+        with pytest.raises(NumericError, match=r"\(lapack syevd, shape 3x3\)$"):
+            thin_svd(np.ones((3, 3)), symmetric=True)
+
+
 class TestFrobeniusNorm:
     def test_zero(self):
         assert frobenius_norm(np.zeros((4, 5))) == 0.0
@@ -201,3 +274,8 @@ class TestFrobeniusNorm:
 
     def test_three_four_five(self):
         assert frobenius_norm(np.array([[3.0, 4.0]])) == 5.0
+
+    def test_overflow_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frobenius_norm(np.full((4, 4), 1e200)) == np.inf

@@ -1,6 +1,8 @@
 """Solver-level tests: fixed points, oracles, invariants, NMF baselines,
 and the contraction-rate estimator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from nlrm import (
     ap_solve,
     contraction_rate_estimate,
     frobenius_norm,
+    gen_graph_similarity,
     gen_uniform,
     nmf_hals_solve,
     nmf_mu_solve,
@@ -111,6 +114,14 @@ class TestApSolve:
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="overflows"):
             ap_solve(np.full((4, 4), 1e200), SolverConfig(rank=1))
 
+    def test_overflowing_input_raises_numeric_error_under_warnings_as_errors(self):
+        from nlrm import NumericError
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="overflows"):
+                tap_solve(np.full((4, 4), 1e200), SolverConfig(rank=1))
+
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(ShapeError, match="^input matrix must be 2-D, got ndim=1$"):
             tap_solve(np.ones(5), SolverConfig(rank=1))
@@ -191,6 +202,65 @@ class TestTapSolve:
         cfg = SolverConfig(rank=5, max_iter=4000, rel_change_tol=1e-11)
         diff = abs(tap_solve(a, cfg).rel_error_x - ap_solve(a, cfg).rel_error_x)
         assert diff < 1e-6
+
+
+def asymmetric_twin(a):
+    """``a`` with entry (0, 1) moved by one ulp, which keeps its runs on gesdd."""
+    twin = a.copy()
+    twin[0, 1] = np.nextafter(twin[0, 1], np.inf)
+    return twin
+
+
+def symmetric_route_cases():
+    """Criterion 08's similarity matrices at r = 3, and a 300-point graph at
+    r = 160, where TAP takes the dense fallback every step."""
+    from test_acceptance import _point_clouds
+
+    cases = {name: (gen_graph_similarity(pts), 3, 30) for name, pts in _point_clouds().items()}
+    cases["graph-300-r160"] = (gen_graph_similarity(gen_uniform(300, 2, 41)), 160, 25)
+    return cases
+
+
+class TestSymmetricRoute:
+    """An exactly symmetric input truncates through ``eigh``; its twin is the oracle."""
+
+    @pytest.mark.parametrize("solve", [tap_solve, ap_solve])
+    @pytest.mark.parametrize("name", sorted(symmetric_route_cases()))
+    def test_matches_asymmetric_twin_per_iteration(self, name, solve):
+        a, r, steps = symmetric_route_cases()[name]
+        cfg = SolverConfig(rank=r, max_iter=steps, rel_change_tol=1e-300)
+        got = solve(a, cfg).trace.rel_errors
+        want = solve(asymmetric_twin(a), cfg).trace.rel_errors
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_full_size_decomposition_count(self, monkeypatch):
+        a = gen_graph_similarity(gen_uniform(60, 2, 42) * 5.0)
+        cfg = SolverConfig(rank=4, max_iter=10, rel_change_tol=1e-300)
+        with record_ops() as log:
+            tap_solve(a, cfg)
+        assert [s for s in log.svd_shapes if s == a.shape] == [a.shape]
+
+        def explode(*args, **kwargs):
+            raise AssertionError("gesdd called")
+
+        monkeypatch.setattr(np.linalg, "svd", explode)
+        with record_ops() as log:
+            res = ap_solve(a, cfg)
+        assert log.svd_shapes == [a.shape] * len(res.trace) == [a.shape] * 10
+
+    @pytest.mark.parametrize("solve", [tap_solve, ap_solve])
+    def test_other_inputs_never_call_eigh(self, monkeypatch, solve):
+        def explode(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", explode)
+        a = gen_graph_similarity(gen_uniform(30, 2, 43))
+        inner = a.copy()
+        inner[2, 3] += 1.0  # first row and column still match
+        for inp, r in ((asymmetric_twin(a), 4), (asymmetric_twin(a), 20), (inner, 4),
+                       (gen_uniform(30, 20, 44), 4)):
+            solve(inp, SolverConfig(rank=r, max_iter=5))
 
 
 class TestNmf:
