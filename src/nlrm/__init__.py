@@ -55,7 +55,6 @@ from .solvers import (
     contraction_rate_estimate,
     nmf_hals_solve,
     nmf_mu_solve,
-    relative_error,
     solve,
     tap_solve,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "project_nonnegative",
     "read_matrix",
     "record_ops",
-    "relative_error",
     "retract_to_rank",
     "run_bench",
     "solve",

@@ -130,7 +130,7 @@ def cmd_bench(args) -> int:
     )
     matio.write_json(report.to_dict(), args.output)
     csv_path = _sibling_csv(args.output)
-    with open(csv_path, "w") as fh:
+    with matio.open_output(csv_path) as fh:
         fh.write("\n".join(bench_mod.report_csv_lines(report)) + "\n")
     failed = [c for c in report.cells if c.error is not None]
     for cell in failed:

@@ -9,10 +9,15 @@ write reproduces every float64 bit-for-bit.  Both formats are read with
 not the file text, and written with ``np.savetxt``.  When numpy rejects an
 input, a per-token pass with Python's ``float`` either names the offending
 line or reads the rare token only ``float`` accepts (``1_0``, non-ASCII
-digits).  Result files are JSON with a versioned schema.
+digits).  Result files are JSON with a versioned schema.  An output that
+replaces an existing regular file of the user's own is unlinked and created
+anew rather than truncated, and any other path (a symlink, a hard link, a
+device) is written in place, as ``open_output`` says.
 """
 
 import json
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -41,16 +46,53 @@ def write_matrix(m, path, format: str | None = None) -> None:
         )
     # a file, not a path: savetxt would compress a path ending in ".gz" or ".bz2"
     if format == CSV:
-        with open(path, "w") as fh:
+        with open_output(path) as fh:
             np.savetxt(fh, m, fmt="%.17g", delimiter=",")
     elif format == MATRIX_MARKET:
         rows, cols = m.shape
-        with open(path, "w") as fh:
+        with open_output(path) as fh:
             # array format is column-major; each row of m.T is one column's lines
             np.savetxt(fh, m.T, fmt="%.17g", delimiter="\n",
                        header=f"{_MM_BANNER}\n{rows} {cols}", comments="")
     else:
         raise ParseError(f"unknown format {format!r}; expected one of {_FORMATS}")
+
+
+def open_output(path):
+    """Open ``path`` for writing text, as ``open(path, "w")`` does.
+
+    An existing regular file that the effective user and group own and may
+    write, with one link and no set-id or sticky bit, is unlinked and
+    created anew with its permission bits instead of truncated: ext4
+    (``auto_da_alloc``) flushes a truncated and rewritten file to disk on
+    close, which a new file does not wait for.  Any other path, and a file
+    the user may not unlink, is opened in place, so symlinks and hard links
+    write through to the file they name.
+    """
+    try:
+        st = os.lstat(path)
+    except OSError:                         # no such file; open() reports any other error
+        st = None
+    if (
+        st is not None and hasattr(os, "geteuid")
+        and stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and not st.st_mode & 0o7000
+        and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())
+        and os.access(path, os.W_OK)
+    ):
+        try:
+            os.unlink(path)
+        except OSError:                     # e.g. a directory the user may not write
+            pass
+        else:
+            mode = stat.S_IMODE(st.st_mode)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+            try:
+                os.fchmod(fd, mode)         # os.open's mode passes through the umask
+            except OSError:
+                os.close(fd)
+                raise
+            return os.fdopen(fd, "w")
+    return open(path, "w")
 
 
 def read_matrix(path, format: str | None = None) -> np.ndarray:
@@ -198,7 +240,7 @@ def result_record(method: str, rank: int, result) -> dict:
 
 def write_json(obj, path) -> None:
     text = json.dumps(obj, indent=2, allow_nan=False)  # NaN and Infinity are not JSON
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write(text + "\n")
 
 

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import instrument
-from .errors import DomainError, InsufficientDataError, NumericError, ShapeError
+from .errors import DomainError, InsufficientDataError, NumericError
 from .linalg import SvdTriplet, as_matrix, frobenius_norm, matmul
 from .projections import (
     TangentFrame,
@@ -177,18 +177,6 @@ class NmfResult(NamedTuple):
     @property
     def converged(self) -> bool:
         return self.trace.converged
-
-
-def relative_error(a: np.ndarray, x_reconstruction: np.ndarray) -> float:
-    """``||a - x||_F / ||a||_F``; the accuracy metric used throughout."""
-    if a.shape != x_reconstruction.shape:
-        raise ShapeError(
-            f"shape mismatch: {a.shape} vs {x_reconstruction.shape}"
-        )
-    norm_a = frobenius_norm(a)
-    if norm_a == 0.0:
-        raise DomainError("relative error undefined for a zero-norm matrix")
-    return frobenius_norm(a - x_reconstruction) / norm_a
 
 
 def ap_solve(

@@ -2,6 +2,8 @@
 
 import json
 import locale
+import os
+import stat
 import tracemalloc
 import warnings
 
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 from nlrm import ParseError, ShapeError, gen_uniform, read_matrix, write_matrix
-from nlrm.matio import format_for_path, read_trace
+from nlrm.cli import main
+from nlrm.matio import format_for_path, read_trace, write_json
 
 
 class TestCsv:
@@ -167,6 +170,112 @@ class TestTraceIo:
         path.write_text(json.dumps({"trace": []}))
         with pytest.raises(ParseError):
             read_trace(path)
+
+
+OUTPUT_WRITERS = {
+    "csv": lambda path: write_matrix(np.eye(2), path, "csv"),
+    "matrix_market": lambda path: write_matrix(np.eye(2), path, "matrix_market_dense"),
+    "json": lambda path: write_json({"schema": 1, "x": [0.5]}, path),
+}
+NOT_ROOT = pytest.mark.skipif(
+    not hasattr(os, "geteuid") or os.geteuid() == 0,
+    reason="the superuser bypasses file and directory permissions",
+)
+
+
+@pytest.mark.parametrize("writer", sorted(OUTPUT_WRITERS))
+class TestOutputFiles:
+    """An existing regular file is replaced; every other path is written in place."""
+
+    @staticmethod
+    def fresh_bytes(tmp_path, writer):
+        path = tmp_path / "fresh"
+        OUTPUT_WRITERS[writer](path)
+        return path.read_bytes()
+
+    def test_regular_file_replaced_with_its_mode(self, tmp_path, writer):
+        path = tmp_path / "out"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        umask = os.umask(0o077)     # would give 0o600 if the old bits were not kept
+        try:
+            with open(path) as old:     # holds the old inode, so its number is not reused
+                OUTPUT_WRITERS[writer](path)
+                assert os.fstat(old.fileno()).st_ino != path.stat().st_ino
+                assert old.read() == "old\n"
+        finally:
+            os.umask(umask)
+        assert path.read_bytes() == self.fresh_bytes(tmp_path, writer)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_symlink_writes_through_to_its_target(self, tmp_path, writer):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        OUTPUT_WRITERS[writer](link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == self.fresh_bytes(tmp_path, writer)
+
+    def test_hard_link_rewritten_in_place(self, tmp_path, writer):
+        path, other = tmp_path / "out", tmp_path / "other"
+        path.write_text("old\n")
+        os.link(path, other)
+        inode = path.stat().st_ino
+        OUTPUT_WRITERS[writer](path)
+        assert path.stat().st_ino == inode
+        assert path.read_bytes() == other.read_bytes() == self.fresh_bytes(tmp_path, writer)
+
+    def test_devnull(self, writer):
+        OUTPUT_WRITERS[writer](os.devnull)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @NOT_ROOT
+    def test_read_only_file_refused(self, tmp_path, writer):
+        path = tmp_path / "out"
+        path.write_text("old\n")
+        path.chmod(0o444)
+        with pytest.raises(PermissionError):
+            OUTPUT_WRITERS[writer](path)
+        assert path.read_text() == "old\n"
+
+    @NOT_ROOT
+    def test_file_in_read_only_directory_rewritten_in_place(self, tmp_path, writer):
+        folder = tmp_path / "ro"
+        folder.mkdir()
+        path = folder / "out"
+        path.write_text("old\n")
+        inode = path.stat().st_ino
+        folder.chmod(0o555)
+        try:
+            OUTPUT_WRITERS[writer](path)
+        finally:
+            folder.chmod(0o755)
+        assert path.stat().st_ino == inode
+        assert path.read_bytes() == self.fresh_bytes(tmp_path, writer)
+
+
+@pytest.mark.parametrize("write, error", [
+    (lambda path: write_matrix(np.zeros((0, 3)), path, "csv"), ShapeError),
+    (lambda path: write_matrix(np.zeros((2, 0)), path, "matrix_market_dense"), ShapeError),
+    (lambda path: write_json({"x": float("nan")}, path), ValueError),
+])
+def test_rejected_output_leaves_existing_file_untouched(tmp_path, write, error):
+    path = tmp_path / "out"
+    path.write_text("old\n")
+    inode = path.stat().st_ino
+    with pytest.raises(error):
+        write(path)
+    assert path.read_text() == "old\n" and path.stat().st_ino == inode
+
+
+@NOT_ROOT
+def test_read_only_output_exits_2(tmp_path):
+    src, out = tmp_path / "a.csv", tmp_path / "y.csv"
+    write_matrix(gen_uniform(4, 3, 0), src)
+    out.write_text("old\n")
+    out.chmod(0o444)
+    assert main(["approx", str(src), "--rank", "1", "--output", str(out)]) == 2
+    assert out.read_text() == "old\n"
 
 
 # Reference oracles for the one-pass readers and row-template writers: the
@@ -535,10 +644,10 @@ def read_outcome(read, path):
 def test_reader_matches_oracle_on_generated_files(tmp_path, fmt, make_text):
     rng = np.random.default_rng(2024)
     oracle_read = ORACLES[fmt][0]
-    path = tmp_path / "m"
     mismatches, read_ok = [], 0
-    for _ in range(2000):
+    for case in range(2000):
         text = make_text(rng)
+        path = tmp_path / f"m{case}"    # a new file: rewriting one would flush it each time
         path.write_bytes(text.encode())
         got = read_outcome(lambda p: read_matrix(p, fmt), path)
         if got != read_outcome(oracle_read, path):

@@ -23,7 +23,6 @@ from nlrm import (
     nmf_mu_solve,
     project_fixed_rank,
     project_nonnegative,
-    relative_error,
     solve,
     tangent_project_dense,
     tap_solve,
@@ -87,7 +86,7 @@ class TestApSolve:
         a = gen_uniform(20, 15, 5)
         res = ap_solve(a, SolverConfig(rank=4))
         assert (res.y >= 0).all()
-        recomputed = relative_error(a, res.x.reconstruct())
+        recomputed = frobenius_norm(a - res.x.reconstruct()) / frobenius_norm(a)
         assert abs(recomputed - res.rel_error_x) < 1e-12
 
     def test_trace_monotone_time_and_indices(self):
@@ -407,29 +406,6 @@ class TestHalsAgainstOracle:
         _hals_clamped_step(x, w, s_jj, p)
         assert_same_bits(x, want)
         assert np.signbit(x[0])
-
-
-class TestRelativeError:
-    def test_exact(self):
-        a = gen_uniform(4, 4, 20)
-        assert relative_error(a, a) == 0.0
-
-    def test_zero_approximation(self):
-        a = gen_uniform(4, 4, 21)
-        assert relative_error(a, np.zeros_like(a)) == 1.0
-
-    def test_hand_example(self):
-        np.testing.assert_allclose(
-            relative_error(np.array([[3.0, 4.0]]), np.array([[0.0, 4.0]])), 0.6
-        )
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(DomainError):
-            relative_error(np.zeros((2, 2)), np.ones((2, 2)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            relative_error(np.ones((2, 2)), np.ones((2, 3)))
 
 
 def geometric_trace(ratio=0.5, length=80):
