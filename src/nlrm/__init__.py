@@ -5,9 +5,12 @@ via alternating projections between the fixed-rank manifold and the
 nonnegative orthant.  The tangent-space variant (``tap_solve``) reaches
 the same accuracy as the direct method (``ap_solve``) while replacing the
 per-iteration full SVD with two thin QRs and a 2r x 2r SVD, as long as
-2r <= min(m, n); above that rank each step runs a full SVD.  NMF
-baselines, dataset generators, matrix I/O and a benchmark harness are
-included; see the ``nlrm`` command-line tool.
+2r <= min(m, n); above that rank each step runs a full SVD.  Each
+full-size truncation picks its route from the input: one ``eigh`` of an
+exactly symmetric input, one ``eigh`` of the smaller Gram matrix of a
+well-conditioned other input, ``gesdd`` otherwise.  NMF baselines,
+dataset generators, matrix I/O and a benchmark harness are included; see
+the ``nlrm`` command-line tool.
 """
 
 from .bench import BenchCell, BenchReport, run_bench, table1_grid

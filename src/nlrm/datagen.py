@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import matmul
+from .linalg import as_matrix, matmul
 from .rng import random_uniform, uniform_matrix
 
 
@@ -86,9 +86,7 @@ def gen_graph_similarity(points) -> np.ndarray:
     ``s_i`` the distance from point i to its 9th-nearest neighbor; the
     diagonal is zero.  The result is symmetric with entries in (0, 1].
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ShapeError("points must be an n x d array of coordinates")
+    pts = as_matrix(points, "points")
     n = pts.shape[0]
     if n < 10:
         raise DomainError(

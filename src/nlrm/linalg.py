@@ -16,14 +16,27 @@ Conventions:
   the backend's order.  A symmetric matrix may instead be decomposed by
   one ``eigh``: singular values are the eigenvalues' magnitudes and each
   right vector is its left vector times the eigenvalue's sign.
+* Rank-r truncation of any other matrix: the top r eigenpairs of the
+  smaller Gram matrix (``A A'`` or ``A' A``) give one side and
+  ``s = sqrt(lambda)``; the other side is recovered by one product and a
+  division by ``s``.  Where ``s_r / s_1`` is below ``GRAM_MIN_RATIO`` the
+  truncation is ``gesdd``'s instead.  The routes agree to rounding
+  amplified by ``s_1 / s_r`` (measured in ROADMAP.md, Findings), not bit
+  for bit.
 """
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import instrument
 from .errors import NumericError, ShapeError
+
+# Smallest s_rank / s_1 at which thin_svd truncates through the Gram matrix
+# (see _gram_svd); measured agreement with gesdd is in ROADMAP.md, Findings.
+GRAM_MIN_RATIO = 1e-3
+# Gram eigenvalues below this carry subnormal rounding of the squared entries.
+_GRAM_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 class QrFactors(NamedTuple):
@@ -94,8 +107,9 @@ def householder_qr(a: np.ndarray) -> QrFactors:
     return QrFactors(q, r)
 
 
-def thin_svd(a: np.ndarray, symmetric: bool = False) -> SvdTriplet:
-    """Thin SVD with ``min(m, n)`` triplets and the package sign convention.
+def thin_svd(a: np.ndarray, symmetric: bool = False, rank: Optional[int] = None) -> SvdTriplet:
+    """Thin SVD with the package sign convention: ``min(m, n)`` triplets, or
+    the top ``rank`` of them.
 
     With ``symmetric=True`` the square input is decomposed by one
     ``eigh``, which reads only its lower triangle, so a matrix that is
@@ -103,8 +117,13 @@ def thin_svd(a: np.ndarray, symmetric: bool = False) -> SvdTriplet:
     completion.  Eigenpairs are ordered by |lambda|, descending, with a
     stable sort: equal magnitudes keep ``eigh``'s ascending order, so
     -c precedes c.  The triplet is ``(u, |lambda|, u * sign lambda)``
-    (sign +1 at lambda = 0).  Either route is logged as one ``(m, n)``
-    decomposition.
+    (sign +1 at lambda = 0).
+
+    Otherwise, with ``rank`` given, the top ``rank`` triplets come from one
+    ``eigh`` of the smaller Gram matrix (see :func:`_gram_svd`) unless
+    ``s_rank < GRAM_MIN_RATIO * s_1``, where squaring the condition number
+    would lose accuracy; then, and with ``rank=None``, ``gesdd`` runs.
+    Every route is logged as one ``(m, n)`` decomposition.
 
     Raises :class:`NumericError` if the iterative backend fails to
     converge (the backend does not report its iteration count; the error
@@ -113,26 +132,68 @@ def thin_svd(a: np.ndarray, symmetric: bool = False) -> SvdTriplet:
     m, n = _require_2d(a, "thin_svd input")
     if symmetric and m != n:
         raise ShapeError(f"symmetric thin_svd needs a square input, got {m}x{n}")
+    if rank is not None and not 1 <= rank <= min(m, n):
+        raise ShapeError(
+            f"rank must satisfy 1 <= rank <= min(m, n) = {min(m, n)}, got {rank}"
+        )
     if not np.isfinite(a).all():
         raise NumericError("thin_svd input contains non-finite entries")
     instrument.log_svd(m, n)
-    try:
-        u, s, vt = _eigh_svd(a) if symmetric else np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        routine = "syevd" if symmetric else "gesdd"
-        raise NumericError(
-            f"SVD did not converge (lapack {routine}, shape {m}x{n})"
-        ) from exc
-    u, v = apply_sign_convention(u, vt.T)
+    u, s, v = _decompose(a, symmetric, rank)
+    u, v = apply_sign_convention(u, v)
+    if rank is not None:
+        u, s, v = (np.ascontiguousarray(x[..., :rank]) for x in (u, s, v))
     return SvdTriplet(u, s, v)
 
 
+def _decompose(a: np.ndarray, symmetric: bool, rank: Optional[int]):
+    """``(u, s, v)`` by :func:`thin_svd`'s route; a backend failure is a :class:`NumericError`."""
+    routine = "syevd"
+    try:
+        if symmetric:
+            usv = _eigh_svd(a)
+        else:
+            usv = None if rank is None else _gram_svd(a, rank)
+        if usv is None:
+            routine = "gesdd"
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+            usv = u, s, vt.T
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"SVD did not converge (lapack {routine}, shape {a.shape[0]}x{a.shape[1]})"
+        ) from exc
+    return usv
+
+
 def _eigh_svd(a: np.ndarray):
-    """``np.linalg.svd``'s ``(u, s, vt)`` of a symmetric matrix, from one ``eigh``."""
+    """``(u, s, v)`` of a symmetric matrix, from one ``eigh``."""
     lam, u = np.linalg.eigh(a)
     order = np.argsort(-np.abs(lam), kind="stable")
     lam, u = lam[order], u[:, order]
-    return u, np.abs(lam), (u * np.where(lam < 0.0, -1.0, 1.0)).T
+    return u, np.abs(lam), u * np.where(lam < 0.0, -1.0, 1.0)
+
+
+def _gram_svd(a: np.ndarray, rank: int):
+    """Top-``rank`` ``(u, s, v)`` from one ``eigh`` of ``A A'`` (m <= n) or ``A' A``.
+
+    The Gram matrix's eigenvectors are one side; ``s = sqrt(lambda)`` and the
+    other side is ``A' U / s`` (or ``A V / s``).  Returns ``None`` where the
+    Gram matrix overflows, or its ``rank``-th eigenvalue is below
+    ``GRAM_MIN_RATIO**2`` times the largest or near underflow: there its
+    rounding, ``eps * s_1**2``, is no longer small against ``s_rank**2``.
+    """
+    wide = a.shape[0] <= a.shape[1]
+    with np.errstate(over="ignore"):
+        g = a @ a.T if wide else a.T @ a
+    if not np.isfinite(g).all():
+        return None
+    lam, w = np.linalg.eigh(g)
+    lam, w = lam[: -rank - 1 : -1], w[:, : -rank - 1 : -1]
+    if not lam[-1] > max(GRAM_MIN_RATIO**2 * lam[0], _GRAM_FLOOR):
+        return None
+    s = np.sqrt(lam)
+    other = (a.T @ w if wide else a @ w) / s
+    return (w, s, other) if wide else (other, s, w)
 
 
 def apply_sign_convention(u: np.ndarray, v: np.ndarray):

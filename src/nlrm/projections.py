@@ -48,24 +48,15 @@ class TangentFactored(NamedTuple):
 def project_fixed_rank(a: np.ndarray, rank: int, symmetric: bool = False) -> SvdTriplet:
     """Best rank-``rank`` approximation of ``a`` in Frobenius norm.
 
-    Returns the top-``rank`` singular triplet; reconstruction gives the
-    closest matrix of rank at most ``rank``.  ``symmetric=True`` takes
-    :func:`thin_svd`'s ``eigh`` route, which truncates the symmetric
-    completion of ``a``'s lower triangle: exactly ``a`` when ``a == a.T``.
+    Returns the top-``rank`` singular triplet from :func:`thin_svd`;
+    reconstruction gives the closest matrix of rank at most ``rank``.
+    ``symmetric=True`` takes the ``eigh`` route, which truncates the
+    symmetric completion of ``a``'s lower triangle: exactly ``a`` when
+    ``a == a.T``.  Otherwise the Gram route runs where it is accurate.
     """
     if a.ndim != 2:
         raise ShapeError("project_fixed_rank input must be 2-D")
-    m, n = a.shape
-    if not 1 <= rank <= min(m, n):
-        raise ShapeError(
-            f"rank must satisfy 1 <= rank <= min(m, n) = {min(m, n)}, got {rank}"
-        )
-    u, s, v = thin_svd(a, symmetric=symmetric)
-    return SvdTriplet(
-        np.ascontiguousarray(u[:, :rank]),
-        np.ascontiguousarray(s[:rank]),
-        np.ascontiguousarray(v[:, :rank]),
-    )
+    return thin_svd(a, symmetric=symmetric, rank=rank)
 
 
 def project_nonnegative(a: np.ndarray) -> np.ndarray:

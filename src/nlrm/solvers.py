@@ -6,18 +6,19 @@ fixed-rank manifold with a full SVD of the dense iterate every step,
 while ``tap_solve`` projects onto the tangent space at the previous
 iterate first and retracts through a 2r x 2r core, so when 2r <= min(m, n)
 the only full-size SVD is the initialization (above that rank each step
-falls back to a full SVD).  Both then clamp at zero.  On an exactly
-symmetric input every full-size truncation is one ``eigh`` instead of an
-SVD (see :func:`nlrm.linalg.thin_svd`).  NMF baselines
-(multiplicative updates and HALS) and the empirical contraction-rate
-estimator round out the comparison tooling; ``solve`` runs any solver
-by name.
+falls back to a full SVD).  Both then clamp at zero.  Every full-size
+truncation is one ``eigh`` instead of an SVD: of the truncated matrix
+itself when the input is exactly symmetric, else of its smaller Gram
+matrix, unless that would lose accuracy and ``gesdd`` runs (see
+:func:`nlrm.linalg.thin_svd`).  NMF baselines (multiplicative updates and
+HALS) and the empirical contraction-rate estimator round out the
+comparison tooling; ``solve`` runs any solver by name.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from time import perf_counter
 from typing import Callable, NamedTuple, Optional
 
@@ -52,6 +53,8 @@ class SolverConfig:
     ``seed`` is only consumed by the NMF baselines (factor initialization).
     ``max_iter = 0`` is allowed there and returns the initialization
     unchanged; the projection solvers need at least one iteration.
+    ``rank``, ``max_iter`` and a given ``seed`` must be integers (numpy
+    integers included, ``bool`` not).
     """
 
     rank: int
@@ -60,6 +63,12 @@ class SolverConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("rank", "max_iter", "seed"):
+            value = getattr(self, name)
+            if name == "seed" and value is None:
+                continue
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.rank < 1:
             raise DomainError(f"rank must be >= 1, got {self.rank}")
         if self.max_iter < 0:
@@ -187,8 +196,9 @@ def ap_solve(
     """Alternating projections with a full truncated SVD every iteration.
 
     Iterates ``X <- best_rank_r(Y)``, ``Y <- clamp(X)`` from ``X = best
-    rank r of A``, each truncation one ``eigh`` when ``a`` is exactly
-    symmetric.  ``on_iterate(k, x_dense, y)``, when given, is called
+    rank r of A``.  Each truncation is one ``eigh``: of the iterate when
+    ``a`` is exactly symmetric, else of its Gram matrix where that is
+    accurate, else ``gesdd``.  ``on_iterate(k, x_dense, y)``, when given, is called
     after every iteration (used by tests to inspect iterates).
     """
     return _project_solve(a, cfg, use_tangent=False, on_iterate=on_iterate)
@@ -206,8 +216,10 @@ def tap_solve(
     2r x 2r core, so no further m x n SVD is performed.  That holds when
     2r <= min(m, n); above that rank each step evaluates the projection
     densely and truncates it with a full SVD, as :func:`ap_solve` does.
-    When ``a`` is square and exactly equal to ``a.T``, the initial and the
-    fallback truncations each run one ``eigh`` in place of that SVD.
+    The initial and the fallback truncations each run one ``eigh`` in place
+    of that SVD: of the matrix itself when ``a`` is square and exactly
+    equal to ``a.T``, else of its Gram matrix, unless ``gesdd`` is needed
+    for accuracy (:func:`nlrm.linalg.thin_svd`).
     """
     return _project_solve(a, cfg, use_tangent=True, on_iterate=on_iterate)
 

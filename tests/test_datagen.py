@@ -7,6 +7,7 @@ import pytest
 
 from nlrm import (
     DomainError,
+    NumericError,
     ShapeError,
     gen_graph_similarity,
     gen_orthogonal_decomposable,
@@ -151,8 +152,15 @@ class TestGenGraphSimilarity:
             gen_graph_similarity(gen_uniform(5, 2, 18))
 
     def test_one_dimensional_points_rejected(self):
-        with pytest.raises(ShapeError, match="^points must be an n x d array of coordinates$"):
+        with pytest.raises(ShapeError, match="^points must be 2-D, got ndim=1$"):
             gen_graph_similarity(np.ones(12))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_points_rejected(self, bad):
+        pts = gen_uniform(20, 2, 21)
+        pts[4, 1] = bad
+        with pytest.raises(NumericError, match="^points contains non-finite entries$"):
+            gen_graph_similarity(pts)
 
     def test_coincident_points_rejected(self):
         with pytest.raises(DomainError, match="local scale is zero$"):

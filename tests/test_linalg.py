@@ -265,6 +265,100 @@ class TestThinSvdSymmetric:
             thin_svd(np.ones((3, 3)), symmetric=True)
 
 
+def gram_cases():
+    """Asymmetric, well-conditioned inputs for the Gram route: (matrix, rank)."""
+
+    def planted(m, n, seed):
+        return gen_uniform(m, 10, seed) @ gen_uniform(10, n, seed + 1) + 0.05 * gen_uniform(
+            m, n, seed + 2
+        )
+
+    return {
+        "wide-40x3000": (planted(40, 3000, 20), 10),
+        "tall-3000x40": (planted(3000, 40, 23), 10),
+        "square-uniform-150": (gen_uniform(150, 150, 26), 15),
+        "full-rank-wide-8x30": (gen_uniform(8, 30, 27) - 0.5, 8),
+    }
+
+
+def planted_spectrum(m, n, s, seed):
+    """``Q1 diag(s) Q2'`` with orthonormal Q1 (m x k), Q2 (n x k) from QR of uniforms."""
+    k = len(s)
+    q1 = householder_qr(gen_uniform(m, k, seed) - 0.5).q
+    q2 = householder_qr(gen_uniform(n, k, seed + 1) - 0.5).q
+    return (q1 * s) @ q2.T
+
+
+def gesdd_cases():
+    """Asymmetric inputs whose rank-r truncation the guard sends to gesdd."""
+    return {
+        "rank-4-product-at-6": (gen_uniform(20, 4, 28) @ gen_uniform(4, 15, 29), 6),
+        "ratio-below-guard": (planted_spectrum(12, 9, [1.0, 0.5, 0.2, 5e-4, 1e-5], 33), 4),
+        "gram-overflows": (gen_uniform(12, 9, 30) * 1e160, 3),
+        "gram-underflows": (gen_uniform(9, 12, 31) * 1e-160, 3),
+        "zeros": (np.zeros((4, 6)), 2),
+    }
+
+
+def explode_on_svd(monkeypatch):
+    def explode(*args, **kwargs):
+        raise AssertionError("gesdd called")
+
+    monkeypatch.setattr(np.linalg, "svd", explode)
+
+
+class TestThinSvdGram:
+    @pytest.mark.parametrize("name", sorted(gram_cases()))
+    def test_matches_gesdd_truncation(self, name, monkeypatch):
+        a, r = gram_cases()[name]
+        full = thin_svd(a)
+        want = (full.u[:, :r] * full.s[:r]) @ full.v[:, :r].T
+        explode_on_svd(monkeypatch)
+        with record_ops() as log:
+            t = thin_svd(a, rank=r)
+        assert log.svd_shapes == [a.shape]
+        assert (t.u.shape, t.s.shape, t.v.shape) == ((a.shape[0], r), (r,), (a.shape[1], r))
+        assert all(x.flags.c_contiguous for x in t)
+        np.testing.assert_allclose(t.s, full.s[:r], rtol=1e-12, atol=0)
+        assert frobenius_norm(t.reconstruct() - want) / frobenius_norm(want) < 1e-12
+        for side in (t.u, t.v):
+            assert np.abs(side.T @ side - np.eye(r)).max() < 1e-12
+        lead = np.argmax(np.abs(t.u), axis=0)
+        assert (t.u[lead, np.arange(r)] > 0).all()
+
+    def test_ratio_just_above_guard_takes_gram_route(self, monkeypatch):
+        a = planted_spectrum(12, 9, [1.0, 0.5, 0.2, 2e-3, 1e-5], 33)
+        want = planted_spectrum(12, 9, [1.0, 0.5, 0.2, 2e-3, 0.0], 33)
+        explode_on_svd(monkeypatch)
+        t = thin_svd(a, rank=4)
+        np.testing.assert_allclose(t.s, [1.0, 0.5, 0.2, 2e-3], rtol=1e-11)
+        np.testing.assert_allclose(t.reconstruct(), want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(gesdd_cases()))
+    def test_guard_falls_back_to_gesdd(self, name):
+        # gesdd's own truncation, bit for bit, is what the fallback returns
+        a, r = gesdd_cases()[name]
+        full = thin_svd(a)
+        with record_ops() as log:
+            t = thin_svd(a, rank=r)
+        assert log.svd_shapes == [a.shape]
+        for got, want in zip(t, full):
+            np.testing.assert_array_equal(got, want[..., :r])
+
+    def test_rank_out_of_range(self):
+        for r in (0, 4):
+            with pytest.raises(ShapeError, match=f"^rank must satisfy 1 <= rank <= min.*got {r}$"):
+                thin_svd(np.ones((3, 5)), rank=r)
+
+    def test_backend_failure_wrapped(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", explode)
+        with pytest.raises(NumericError, match=r"\(lapack syevd, shape 4x7\)$"):
+            thin_svd(gen_uniform(4, 7, 32), rank=2)
+
+
 class TestFrobeniusNorm:
     def test_zero(self):
         assert frobenius_norm(np.zeros((4, 5))) == 0.0

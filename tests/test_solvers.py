@@ -18,6 +18,7 @@ from nlrm import (
     contraction_rate_estimate,
     frobenius_norm,
     gen_graph_similarity,
+    gen_orthogonal_decomposable,
     gen_uniform,
     nmf_hals_solve,
     nmf_mu_solve,
@@ -48,6 +49,20 @@ class TestSolverConfig:
         for value in (np.inf, np.nan):
             with pytest.raises(DomainError):
                 SolverConfig(rank=2, rel_change_tol=value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rank", 2.5), ("rank", 2.0), ("rank", True), ("rank", "2"),
+        ("max_iter", 3.0), ("max_iter", False), ("seed", 1.5), ("seed", True),
+    ])
+    def test_non_integer_counts_rejected(self, field, value):
+        kwargs = {"rank": 2, field: value}
+        with pytest.raises(DomainError, match=f"^{field} must be an integer, got "):
+            SolverConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SolverConfig(rank=np.int64(2), max_iter=np.int32(4), seed=np.uint64(3))
+        assert nmf_mu_solve(gen_uniform(6, 5, 0), cfg).trace.iterations[-1] <= 4
+        assert SolverConfig(rank=2, seed=None).seed is None
 
     def test_zero_max_iter_rejected_by_projection_solvers(self):
         cfg = SolverConfig(rank=2, max_iter=0)
@@ -204,7 +219,8 @@ class TestTapSolve:
 
 
 def asymmetric_twin(a):
-    """``a`` with entry (0, 1) moved by one ulp, which keeps its runs on gesdd."""
+    """``a`` with entry (0, 1) moved by one ulp, which keeps its runs off the
+    symmetric route."""
     twin = a.copy()
     twin[0, 1] = np.nextafter(twin[0, 1], np.inf)
     return twin
@@ -249,17 +265,86 @@ class TestSymmetricRoute:
         assert log.svd_shapes == [a.shape] * len(res.trace) == [a.shape] * 10
 
     @pytest.mark.parametrize("solve", [tap_solve, ap_solve])
-    def test_other_inputs_never_call_eigh(self, monkeypatch, solve):
+    def test_other_inputs_never_take_the_symmetric_route(self, monkeypatch, solve):
         def explode(*args, **kwargs):
-            raise AssertionError("eigh called")
+            raise AssertionError("symmetric route taken")
 
-        monkeypatch.setattr(np.linalg, "eigh", explode)
+        monkeypatch.setattr("nlrm.linalg._eigh_svd", explode)
         a = gen_graph_similarity(gen_uniform(30, 2, 43))
         inner = a.copy()
         inner[2, 3] += 1.0  # first row and column still match
         for inp, r in ((asymmetric_twin(a), 4), (asymmetric_twin(a), 20), (inner, 4),
                        (gen_uniform(30, 20, 44), 4)):
             solve(inp, SolverConfig(rank=r, max_iter=5))
+
+
+def gram_route_cases():
+    """Asymmetric inputs of criteria 01, 02 and 09, a wide and a tall input, and
+    TAP's dense fallback (2r > min(m, n)): (matrix, rank, max_iter)."""
+    return {
+        "criterion-01-r40": (gen_uniform(200, 200, 0), 40, 1000),
+        "criterion-02-small": (gen_uniform(40, 30, 100), 3, 3000),
+        "criterion-09-clean": (gen_orthogonal_decomposable(0.0, 13), 10, 1000),
+        "wide-30x200": (gen_uniform(30, 200, 45), 4, 30),
+        "tall-200x30": (gen_uniform(200, 30, 46), 4, 30),
+        "dense-fallback-12x9": (gen_uniform(12, 9, 12), 5, 30),
+    }
+
+
+class TestGramRoute:
+    """An asymmetric input truncates through the Gram matrix unless it is ill-conditioned."""
+
+    @staticmethod
+    def full_size_gesdd_calls(monkeypatch, shape):
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counted(x, *args, **kwargs):
+            if x.shape == shape:
+                calls.append(shape)
+            return real_svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    @pytest.mark.parametrize("solve", [tap_solve, ap_solve])
+    @pytest.mark.parametrize("name", sorted(gram_route_cases()))
+    def test_well_conditioned_input_never_reaches_gesdd(self, monkeypatch, name, solve):
+        a, r, max_iter = gram_route_cases()[name]
+        gesdd = self.full_size_gesdd_calls(monkeypatch, a.shape)
+        with record_ops() as log:
+            res = solve(a, SolverConfig(rank=r, max_iter=max_iter))
+        assert gesdd == []
+        full = [shape for shape in log.svd_shapes if shape == a.shape]
+        dense_steps = solve is ap_solve or 2 * r > min(a.shape)
+        assert len(full) == (len(res.trace) if dense_steps else 1)
+        assert not res.degenerate_rank
+
+    @pytest.mark.parametrize("solve", [tap_solve, ap_solve])
+    def test_rank_deficient_input_takes_gesdd(self, monkeypatch, solve):
+        a = low_rank_nonnegative(30, 20, 4, 47)
+        gesdd = self.full_size_gesdd_calls(monkeypatch, a.shape)
+        with record_ops() as log:
+            res = solve(a, SolverConfig(rank=6))
+        assert len(gesdd) == len([shape for shape in log.svd_shapes if shape == a.shape]) >= 1
+        assert res.degenerate_rank
+        assert res.rel_error_x < 1e-10
+
+    @pytest.mark.parametrize("solve", [tap_solve, ap_solve])
+    @pytest.mark.parametrize("weight, ratio, gesdd_runs", [(2e-3, 3.3e-4, True),
+                                                           (2e-2, 3.2e-3, False)])
+    def test_guard_picks_the_route(self, monkeypatch, solve, weight, ratio, gesdd_runs):
+        # a planted rank-4 product plus a small tail; its s_4 / s_1 is near ``ratio``,
+        # on either side of GRAM_MIN_RATIO = 1e-3
+        u = gen_uniform(25, 4, 48) * [1.0, 0.5, 0.2, weight]
+        a = u @ gen_uniform(4, 18, 49) + 1e-6 * gen_uniform(25, 18, 50)
+        s = np.linalg.svd(a, compute_uv=False)
+        np.testing.assert_allclose(s[3] / s[0], ratio, rtol=0.05)
+        gesdd = self.full_size_gesdd_calls(monkeypatch, a.shape)
+        with record_ops() as log:
+            solve(a, SolverConfig(rank=4, max_iter=3))
+        full = [shape for shape in log.svd_shapes if shape == a.shape]
+        assert len(gesdd) == (len(full) if gesdd_runs else 0)
 
 
 class TestNmf:
