@@ -53,8 +53,8 @@ class SolverConfig:
     ``seed`` is only consumed by the NMF baselines (factor initialization).
     ``max_iter = 0`` is allowed there and returns the initialization
     unchanged; the projection solvers need at least one iteration.
-    ``rank``, ``max_iter`` and a given ``seed`` must be integers (numpy
-    integers included, ``bool`` not).
+    ``rank``, ``max_iter`` and a given ``seed`` must be integers and
+    ``rel_change_tol`` a real number (numpy's included, ``bool`` not).
     """
 
     rank: int
@@ -73,10 +73,9 @@ class SolverConfig:
             raise DomainError(f"rank must be >= 1, got {self.rank}")
         if self.max_iter < 0:
             raise DomainError(f"max_iter must be >= 0, got {self.max_iter}")
-        if not 0 < self.rel_change_tol < math.inf:
-            raise DomainError(
-                f"rel_change_tol must be finite and > 0, got {self.rel_change_tol}"
-            )
+        tol = self.rel_change_tol
+        if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < math.inf:
+            raise DomainError(f"rel_change_tol must be a finite number > 0, got {tol!r}")
 
 
 class TraceRecord(NamedTuple):

@@ -67,6 +67,12 @@ class TestRunBench:
         with pytest.raises(DomainError, match="invalid cell"):
             run_bench(grid)
 
+    @pytest.mark.parametrize("tol", [True, "1e-6", None, 0.0, float("nan")])
+    def test_bad_tolerance_rejected_before_any_cell(self, tol, monkeypatch):
+        monkeypatch.setattr("nlrm.bench._run_cell", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(DomainError, match="rel_change_tol must be a finite number > 0"):
+            run_bench([(10, 2)], tol=tol)
+
     def test_unknown_method_rejected_before_any_cell(self, monkeypatch):
         monkeypatch.setattr("nlrm.bench._run_cell", lambda *args: pytest.fail("a cell ran"))
         with pytest.raises(ValueError, match="unknown method 'bogus'"):

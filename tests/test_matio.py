@@ -2,17 +2,19 @@
 
 import json
 import locale
+import math
 import os
 import stat
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nlrm import ParseError, ShapeError, gen_uniform, read_matrix, write_matrix
 from nlrm.cli import main
-from nlrm.matio import format_for_path, read_trace, write_json
+from nlrm.matio import _BLOCK, format_for_path, read_trace, write_json
 
 
 class TestCsv:
@@ -278,7 +280,7 @@ def test_read_only_output_exits_2(tmp_path):
     assert out.read_text() == "old\n"
 
 
-# Reference oracles for the one-pass readers and row-template writers: the
+# Reference oracles for the one-pass readers and the block writer: the
 # per-token parser and per-value "%.17g" writer they replaced, kept verbatim.
 
 def oracle_write_csv(m, path):
@@ -441,6 +443,132 @@ class TestAgainstOracle:
             with pytest.raises(ShapeError):
                 write_matrix(np.zeros(shape), path, fmt)
             assert not path.exists()
+
+
+# The block formatter against the per-value "%.17g" oracle writers above.
+# Sequences are laid out in the order a format writes them, so that whole
+# blocks of _BLOCK values can be made all fixed-notation, all '%' or mixed.
+
+def in_write_order(seq, shape, fmt):
+    """A matrix whose values, in the order ``fmt`` writes them, are ``seq``."""
+    rows, cols = shape
+    return seq.reshape(rows, cols) if fmt == "csv" else seq.reshape(cols, rows).T
+
+
+def powers_of_ten_and_neighbours():
+    centres = np.array([float(f"1e{k}") for k in range(-30, 31)] + [1e-4, 1e16, 1e17])
+    values = np.concatenate([centres, np.nextafter(centres, 0), np.nextafter(centres, np.inf)])
+    tiny, big = np.nextafter(0, 1), np.finfo(np.float64).max
+    return np.concatenate([values, -values, [0.0, -0.0, tiny, -tiny, big, -big]])
+
+
+def dyadic_ties(rng, per_exponent):
+    """Dyadic values whose 17-digit rounding is an exact tie, for exponents -4 to 15.
+
+    For odd ``o``, ``x = o / 2**(k + 1)`` gives ``x * 10**k = o * 5**k / 2``, an
+    odd number of halves; ``o`` is drawn so that this has 17 integer digits.
+    """
+    out = []
+    for k in range(1, 21):
+        low, high = 2 * 10**16 // 5**k, min(2 * 10**17 // 5**k, 2**53)
+        odd = rng.integers(low // 2, high // 2, per_exponent) * 2 + 1
+        out.append(odd / 2.0 ** (k + 1))
+    return np.concatenate(out)
+
+
+def fixed_notation_values(rng, n):
+    """Values in 1e-4 <= |x| < 1e17, spread over every decimal exponent."""
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4, 17, n).clip(-4, 16.99)
+
+
+def exponent_notation_values(rng, n):
+    """Nonzero values below 1e-4 or at least 1e17 in magnitude, subnormals included."""
+    exponents = np.concatenate([rng.uniform(-320, -4.01, n - n // 2), rng.uniform(17, 308, n // 2)])
+    values = 10.0 ** exponents
+    return rng.permutation(values * rng.choice([-1.0, 1.0], n))
+
+
+def writer_sequence(case, n, rng):
+    if case == "fixed_then_exponent_then_mixed":       # whole blocks of each kind
+        mixed = np.concatenate([fixed_notation_values(rng, n // 2),
+                                exponent_notation_values(rng, n // 4),
+                                powers_of_ten_and_neighbours(), dyadic_ties(rng, 20),
+                                np.zeros(50), -np.zeros(50)])
+        seq = np.concatenate([fixed_notation_values(rng, _BLOCK),
+                              exponent_notation_values(rng, _BLOCK), rng.permutation(mixed)])
+    elif case == "edges":
+        seq = powers_of_ten_and_neighbours()
+    elif case == "ties":
+        seq = dyadic_ties(rng, n // 20 + 1)
+    elif case == "integers":
+        seq = np.concatenate([rng.integers(-2**53, 2**53, n // 2).astype(np.float64),
+                              rng.integers(-10**6, 10**6, n // 2).astype(np.float64),
+                              [float(10**k) for k in range(23)]])
+    else:
+        seq = random_bit_patterns(n, 12)
+    return np.resize(seq, n)
+
+
+@pytest.mark.parametrize("fmt", sorted(ORACLES))
+class TestBlockWriterAgainstOracle:
+    @pytest.mark.parametrize("case", ["fixed_then_exponent_then_mixed", "edges", "ties",
+                                      "integers", "random_bits"])
+    def test_bytes_and_bits(self, tmp_path, fmt, case):
+        # 3 rows of a width that is no divisor of the block: rows cross block ends
+        shape = (3, (2 * _BLOCK + _BLOCK // 2) // 3)
+        seq = writer_sequence(case, shape[0] * shape[1], np.random.default_rng(13))
+        self.assert_matches_oracle(tmp_path, fmt, in_write_order(seq, shape, fmt))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, _BLOCK + 7), (_BLOCK + 7, 1), (1, 5), (5, 1)])
+    def test_vector_shapes(self, tmp_path, fmt, shape):
+        seq = writer_sequence("fixed_then_exponent_then_mixed", 3 * _BLOCK,
+                              np.random.default_rng(14))[-shape[0] * shape[1]:]
+        self.assert_matches_oracle(tmp_path, fmt, in_write_order(seq, shape, fmt))
+
+    @staticmethod
+    def assert_matches_oracle(tmp_path, fmt, m):
+        ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+        write_matrix(m, ours, fmt)
+        ORACLES[fmt][1](m, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
+        assert_same_bits(read_matrix(ours, fmt), m)
+
+
+@pytest.mark.parametrize("shift", [-0.75, 0.75])
+def test_exponent_exact_however_log10_rounds(tmp_path, monkeypatch, shift):
+    # the writer trusts floor(log10 |x|) to within one; push it off by one for most values
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+    seq = writer_sequence("fixed_then_exponent_then_mixed", 3 * _BLOCK, np.random.default_rng(16))
+    TestBlockWriterAgainstOracle.assert_matches_oracle(tmp_path, "csv", seq.reshape(3, -1))
+
+
+def test_no_double_rounds_up_to_a_power_of_ten():
+    # the writer's 17-digit integers stay below 10**17 because of this
+    for p in range(-4, 18):
+        below = float(Fraction(10) ** p)
+        if below >= Fraction(10) ** p:
+            below = math.nextafter(below, 0)
+        assert Fraction("%.17g" % below) < Fraction(10) ** p
+
+
+def test_dyadic_ties_are_exact_ties():
+    for x in dyadic_ties(np.random.default_rng(15), 3).tolist():
+        scaled = [Fraction(x) * 10**k for k in range(1, 21)]
+        assert any(10**16 <= v < 10**17 and v.denominator == 2 for v in scaled), x
+
+
+@pytest.mark.parametrize("fmt", sorted(ORACLES))
+@pytest.mark.parametrize("shape", [(800, 800), (20, 100_000)])
+def test_write_memory_stays_bounded(tmp_path, fmt, shape):
+    m = gen_uniform(*shape, 8)
+    tracemalloc.start()
+    try:
+        write_matrix(m, tmp_path / "m", fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20     # about 3.4 MB; one whole-matrix text buffer would be 13-64 MB
 
 
 CSV_TEXTS = {

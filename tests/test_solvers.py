@@ -64,6 +64,17 @@ class TestSolverConfig:
         assert nmf_mu_solve(gen_uniform(6, 5, 0), cfg).trace.iterations[-1] <= 4
         assert SolverConfig(rank=2, seed=None).seed is None
 
+    @pytest.mark.parametrize("value", [True, False, "1e-6", None, [1e-6], 1e-6j])
+    def test_non_real_tolerance_rejected(self, value):
+        with pytest.raises(DomainError, match="^rel_change_tol must be a finite number > 0, got "):
+            SolverConfig(rank=2, rel_change_tol=value)
+
+    def test_numpy_float_tolerance_accepted(self):
+        for tol in (np.float32(1e-6), np.float64(1e-6)):
+            cfg = SolverConfig(rank=2, rel_change_tol=tol)
+            assert cfg.rel_change_tol == tol
+            assert ap_solve(gen_uniform(6, 5, 0), cfg).trace.iterations
+
     def test_zero_max_iter_rejected_by_projection_solvers(self):
         cfg = SolverConfig(rank=2, max_iter=0)
         with pytest.raises(DomainError):
