@@ -7,16 +7,29 @@ names one.  Values are written as ``'%.17g' % x`` gives them, so a read of
 a write reproduces every float64 bit-for-bit.  The writer computes that
 text for blocks of values in numpy: exactly, for the fixed-notation values
 (zeros and 1e-4 <= |x| < 1e17), and through one ``%`` call per block for
-the rest.  Both formats are read with ``np.loadtxt`` from an open file,
-which holds about the output array and not the file text.  When numpy
-rejects an input, a per-token pass with Python's ``float`` either names the
-offending line or reads the rare token only ``float`` accepts (``1_0``,
-non-ASCII digits).  Result files are JSON with a versioned schema.  An output that
-replaces an existing regular file of the user's own is unlinked and created
-anew rather than truncated, and any other path (a symlink, a hard link, a
-device) is written in place, as ``open_output`` says.
+the rest.
+
+The reader parses blocks of the file in numpy too, and gives every value
+the bits Python's ``float`` gives its token.  A token of the form
+``[+-]d*[.d*][(e|E)[+-]d{1,3}]`` with at most 19 significant digits is read
+as an integer ``n`` and a power of ten ``10**q``, and ``n * 10**q`` is
+rounded once from a double-double product accurate to 2**-100.  ``float``
+reads the token instead when that product lies within 2**-30 ulp of a
+rounding boundary (a midpoint, or the quarter-ulp point below a power of
+two), when ``q`` is outside -307..289, and for the rest of its own grammar
+(more digits, longer exponents).  A file holding any other token (spaces
+around a value, ``1_0``, non-ASCII digits, a bad token) or a ragged row,
+and a CSV pipe, which cannot be read twice, is read by ``np.loadtxt``; when
+numpy rejects it too, a per-token pass with ``float`` either names the
+offending line or reads the rare token only ``float`` accepts.
+
+Result files are JSON with a versioned schema.  An output that replaces an
+existing regular file of the user's own is unlinked and created anew rather
+than truncated, and any other path (a symlink, a hard link, a device) is
+written in place, as ``open_output`` says.
 """
 
+import io
 import json
 import math
 import os
@@ -211,7 +224,14 @@ def format_for_path(path) -> str:
 
 
 def _read_csv(path):
-    with open(path, encoding="utf-8") as fh:
+    from . import textread          # on first use: see its docstring
+
+    with open(path, "rb") as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
+        if raw.seekable():          # a pipe cannot be read twice
+            values = textread.read_blocks(raw, csv=True)
+            if values is not None:
+                return values
+            raw.seek(0)
         values = _loadtxt(fh, ",")
         if values is not None:
             return values
@@ -236,6 +256,8 @@ def _read_csv(path):
 
 
 def _read_matrix_market(path):
+    from . import textread
+
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
         if not first:
@@ -274,7 +296,10 @@ def _read_matrix_market(path):
             raise ParseError(f"{path}: line {lineno}: dimensions must be positive")
 
         start = fh.tell()
-        values = _loadtxt(fh, None)
+        values = textread.read_body(fh.buffer, lineno, rows * cols)
+        if values is None:
+            fh.seek(start)
+            values = _loadtxt(fh, None)
         if values is None or values.size != rows * cols:
             # a bad token is reported before a wrong count, with its line number
             fh.seek(start)

@@ -81,7 +81,7 @@ def tangent_project_dense(frame: TangentFrame, y: np.ndarray) -> np.ndarray:
 def tangent_project_structured(frame: TangentFrame, y: np.ndarray) -> TangentFactored:
     """Factored tangent projection from two thin QRs and a 2r x 2r core.
 
-    QR inputs are computed as ``Y V - U (U'ized Y V)`` and the transposed
+    QR inputs are computed as ``Y V - U (U' Y V)`` and the transposed
     analogue so no m x n projector is ever formed.  ``[U Q]`` and ``[V Qh]``
     need 2r orthonormal columns, so 2r > min(m, n) raises :class:`ShapeError`;
     use :func:`tangent_project_dense` there.

@@ -1,0 +1,316 @@
+"""Matrix text to float64 with the bits of Python's ``float``, a block at a time.
+
+A file is read in blocks cut after their last value separator, and one
+flatnonzero per block finds separators, points and exponent marks.  A
+token ``[+-]d*[.d*][(e|E)[+-]d{1,3}]`` of 1 to 23 digits whose digits make
+an integer ``n < 10**19`` becomes ``n``, read from three unaligned 8-byte
+words by Lemire's eight-digit SWAR, and a decimal exponent ``q``; then
+``n * 10**q`` is rounded once from a double-double product.  Where that
+rounding is unsure, and for the other tokens of ``float``'s grammar, the
+value is ``float(token)``.  Any other token, a ragged CSV row or a wrong
+MatrixMarket count makes the readers return None, and ``matio`` then reads
+the file by its slower route, so every error keeps its line-numbered
+message.
+
+``matio`` imports this module on its first read, so a process that reads
+no matrix file holds none of its tables or code.
+"""
+
+import itertools
+import math
+import os
+import re
+
+import numpy as np
+
+from .matio import _split
+
+_EOL = re.compile(rb"\r\n|\r|\n")     # the line ends of text mode's universal newlines
+_HEAD = 1 << 13                 # longer MatrixMarket headers take the slower route
+
+
+def read_body(raw, lines, count):
+    """The ``count`` values after the first ``lines`` lines of binary file ``raw``, or None."""
+    raw.seek(0)
+    head = raw.read(_HEAD)
+    ends = [match.end() for match in itertools.islice(_EOL.finditer(head), lines)]
+    if len(ends) < lines:
+        return None
+    raw.seek(ends[-1])
+    values = read_blocks(raw, csv=False, count=count)
+    return None if values is None or values.size != count else values
+
+
+_PAD = 32                       # zero bytes before and after a block in its buffer
+_READ_MIN, _READ_MAX = 1 << 13, 1 << 18     # bytes read at a time: a 32nd of the file, within these
+_Q_MIN, _Q_MAX = -307, 289      # n * 10**q is normal and finite for every n < 10**19
+
+
+def _pow10_table():
+    """Rows ``(hi, lo, hi_hi, hi_lo, k)``: ``10**q == (hi + lo) * 2**k`` to 2**-105, hi in [1, 2]."""
+    rows = []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        if q >= 0:
+            k = (10**q).bit_length() - 1
+            mant = (10**q << 120) >> k
+        else:
+            k = -(10**-q).bit_length()
+            mant = (1 << (120 - k)) // 10**-q
+        hi = float(mant)
+        rows.append((hi, float(mant - int(hi)), k))
+    hi, lo, k = np.array(rows).T
+    hi, lo = hi * 2.0**-120, lo * 2.0**-120
+    return np.stack([hi, lo, *_split(hi), k])
+
+
+def _window_masks():
+    """For a mantissa of ``lf`` fraction and ``li`` integer digits in the 24-byte
+    window that ends where its fraction ends (or one byte after its integer),
+    with the point at byte ``23 - lf``: the mask of its digit bytes, in column
+    ``24 * lf + li``, and the mask of the bytes below the point, in column ``lf``."""
+    byte = np.arange(24)
+    point = 23 - np.arange(24)[:, None, None]
+    digits = (byte >= point - np.arange(24)[:, None]) & (byte != point)
+    def as_words(mask):
+        return np.where(mask, 0xFF, 0).astype(np.uint8).view(np.uint64).reshape(-1, 3).T.copy()
+
+    return as_words(digits), as_words(byte < point[:, 0])
+
+
+_P10 = _pow10_table()
+_DIGITS, _BELOW_POINT = _window_masks()
+_EXP = np.array([0] + [(1 << 32) - (1 << 8 * (4 - d)) for d in (1, 2, 3)] + [0], np.uint64)
+_TOKEN = re.compile(rb"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")   # float()'s, less "_", inf, nan
+_MM_SPACE = np.zeros(256, bool)
+_MM_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True         # str.split()'s ASCII spaces
+
+
+def _words(words, at, k):
+    """Rows of ``k`` little-endian 8-byte words, a column for each byte offset in ``at``."""
+    shift = ((at & 7) << 3).astype(np.uint64)
+    w = words.take((at >> 3) + np.arange(k + 1)[:, None])
+    low = w[:-1] >> shift
+    w[1:] <<= 64 - shift
+    low |= w[1:]
+    return low
+
+
+def _digit_value(x):
+    """Lemire's SWAR value of eight digit bytes, 0x00 counting as 0."""
+    x = (x & np.uint64(0x0F0F0F0F0F0F0F0F)) * np.uint64(2561) >> np.uint64(8)
+    x = (x & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(6553601) >> np.uint64(16)
+    return (x & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(42949672960001) >> np.uint64(32)
+
+
+def _not_digits(x, mask):
+    """Where a byte of ``x`` that ``mask`` keeps is not an ASCII digit; ``x`` is masked.
+
+    Lemire's check, byte by byte: a digit gives 0x33.  ``mask`` is overwritten.
+    """
+    hi = np.uint64(0xF0F0F0F0F0F0F0F0)
+    check = (x + np.uint64(0x0606060606060606)) & hi
+    check >>= np.uint64(4)
+    check |= x & hi
+    mask &= np.uint64(0x3333333333333333)
+    return check != mask
+
+
+def read_blocks(fh, csv, count=None):
+    """The values in the rest of binary file ``fh``, or None for the slower route.
+
+    CSV gives a ``(rows, width)`` array, MatrixMarket a flat one of at most
+    ``count`` values.  None means a token outside ``float``'s grammar or
+    longer than a read, a ragged CSV row, too many MatrixMarket values, too
+    many tokens for ``float`` or no value at all.
+    """
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    step = min(max(size // 32 & -8, _READ_MIN), _READ_MAX)
+    buf = np.zeros(2 * step + 2 * _PAD, np.uint8)
+    words = buf.view(np.uint64)
+    # a value takes a digit and a separator, so a count the file cannot hold is not allocated
+    out = np.empty(min(count or 0, size // 2 + 1))
+    total = done = 0
+    width, in_line = None, 0        # CSV: the row width and the values of the unfinished row
+    end = _PAD
+    while True:
+        n = fh.readinto(memoryview(buf)[end:end + step])
+        if not n:
+            if end == _PAD:
+                break
+            buf[end] = 10           # a final line end where the file has none
+            n = 1
+        end += n
+        parsed = _parse_block(buf, words, end, csv, in_line == 0)
+        if parsed is None:
+            return None
+        values, eol, cut = parsed
+        if end - cut >= step:       # a token longer than a read
+            return None
+        if csv and values.size:
+            rows = np.flatnonzero(eol)
+            if rows.size:
+                lengths = np.diff(rows, prepend=-1)
+                lengths[0] += in_line
+                width = lengths[0] if width is None else width
+                if (lengths != width).any():
+                    return None
+                in_line = values.size - 1 - rows[-1]
+            else:
+                in_line += values.size
+        done += cut - _PAD
+        if total + values.size > out.size:
+            if count is not None:
+                return None
+            # room for what the rest of the file holds at this density, or a 16th more
+            rest = max(int((total + values.size) * (size - done) / done), total // 16)
+            out.resize(total + values.size + rest + 64, refcheck=False)
+        out[total:total + values.size] = values
+        total += values.size
+        buf[_PAD:_PAD + end - cut] = buf[cut:end]
+        end = _PAD + end - cut
+    if not total or in_line:
+        return None
+    out.resize(total, refcheck=False)
+    return out.reshape(-1, width) if csv else out
+
+
+def _parse_block(buf, words, end, csv, line_start):
+    """The values of the tokens that end in ``buf[_PAD:end]``, or None.
+
+    Returns ``(values, eol, cut)``: ``eol`` marks the CSV values that end a
+    row, and ``cut`` is the offset just past the block's last value separator.
+    """
+    # token ends, points and exponent marks: the pieces between them are digit runs
+    seps = _separators(buf[_PAD:end], csv) + _PAD
+    kind = buf.take(seps)
+    ends = np.flatnonzero(kind < 46 if csv else kind <= 32)   # pieces that end a token
+    if not ends.size:
+        return np.empty(0), None, _PAD
+    te = seps.take(ends)
+    kv = kind.take(ends)
+    if not csv and not _MM_SPACE.take(kv).all():
+        return None
+    first = np.empty_like(ends)
+    first[0] = 0
+    first[1:] = ends[:-1] + 1
+    ts = np.empty_like(te)
+    ts[0] = _PAD
+    ts[1:] = te[:-1] + 1
+    cut = te[-1] + 1
+    if csv:
+        eol = kv == 10
+        te -= eol & (buf.take(te - 1) == 13)       # "\r\n" ends a row as "\n" does
+        starts_row = np.empty_like(eol)
+        starts_row[0] = line_start
+        starts_row[1:] = eol[:-1]
+        keep = (te != ts) | ~(eol & starts_row)     # drop blank rows
+    else:
+        eol = None
+        keep = te != ts                             # runs of spaces
+    if not keep.all():
+        ends, first, ts, te = ends[keep], first[keep], ts[keep], te[keep]
+        eol = eol[keep] if csv else None
+
+    # -?d*[.d*][(e|E)[+-]d+]: li integer and lf fraction digits, the mantissa ending at me
+    has_dot = kind.take(first) == 46
+    has_e = kind.take(first + has_dot) > 46
+    bad = (ends - first) != has_dot.astype(np.intp) + has_e
+    pe = seps.take(ends - 1)
+    me = np.where(has_e, pe, te)
+    int_end = np.where(has_dot, seps.take(first), me)
+    del seps, kind, ends, first                     # before the widest temporaries
+    sign = buf.take(ts)
+    neg = sign == 45
+    li = int_end - ts - (neg | (sign == 43))
+    lf = me - int_end - has_dot
+    n, not_digits = _mantissas(words, me + 1 - has_dot, li, lf)
+    bad |= not_digits
+    q = -lf
+    if has_e.any():
+        ie = np.flatnonzero(has_e)
+        exponent, not_digits = _exponents(buf, words, pe.take(ie) + 1, te.take(ie))
+        q[ie] += exponent
+        bad[ie] |= not_digits
+    q -= _Q_MIN
+    bad |= q.view(np.uint64) > _Q_MAX - _Q_MIN
+    values, unsure = _scale(n, _P10.take(q, axis=1, mode="clip"))
+    np.negative(values, out=values, where=neg)
+
+    # the rest goes to float(); more than a 16th of a block sends the file to the slower route
+    redo = np.flatnonzero(bad | unsure)
+    if redo.size > values.size // 16 + 16:
+        return None
+    for i in redo:
+        token = buf[ts[i]:te[i]].tobytes()
+        if not _TOKEN.fullmatch(token):
+            return None
+        values[i] = float(token)
+        if not math.isfinite(values[i]):
+            return None
+    return values, eol, cut
+
+
+def _separators(block, csv):
+    """Offsets in ``block`` of value separators, points and exponent marks."""
+    mask = (block | 32) == 101                      # e or E
+    mask |= block == 46
+    if csv:
+        mask |= block == 44
+        mask |= block == 10
+    else:
+        mask |= block <= 32
+    return np.flatnonzero(mask)
+
+
+def _mantissas(words, end, li, lf):
+    """The uint64 digits of each mantissa of ``li`` integer and ``lf`` fraction
+    digits that ends before offset ``end`` (past its point, if it has none),
+    and where that is not 1 to 19 significant digits in all."""
+    bad = (li + lf - 1).view(np.uint64) > 22        # no digit, or more than the window
+    lf = np.minimum(lf, 23)
+    x = _words(words, end - 24, 3)
+    mask = _DIGITS.take(np.minimum(li, 23) + 24 * lf, axis=1)
+    x &= mask
+    bad |= _not_digits(x, mask).any(0)
+    low = x & _BELOW_POINT.take(lf, axis=1)         # drop the point: shift the integer up a byte
+    x ^= low
+    x |= low << np.uint64(8)
+    x[1:] |= low[:2] >> np.uint64(56)
+    c = _digit_value(x)
+    bad |= c[0] >= 1000                             # n >= 10**19
+    np.minimum(c[0], 999, out=c[0])
+    return (c[0] * np.uint64(10**8) + c[1]) * np.uint64(10**8) + c[2], bad
+
+
+def _exponents(buf, words, at, stop):
+    """The value of each exponent ``[+-]d{1,3}`` at ``buf[at:stop]``, and where it is not one."""
+    sign = buf.take(at)
+    digits = stop - at - ((sign == 43) | (sign == 45))
+    mask = _EXP.take(np.clip(digits, 0, 4))
+    x = (_words(words, stop - 8, 1)[0] >> np.uint64(32)) & mask   # the last four bytes
+    bad = _not_digits(x, mask) | ((digits - 1).view(np.uint64) > 2)
+    x &= np.uint64(0x0F0F0F0F)
+    x = (x * np.uint64(10) + (x >> np.uint64(8))) & np.uint64(0x00FF00FF)
+    x = ((x * np.uint64(100) + (x >> np.uint64(16))) & np.uint64(0xFFFF)).astype(np.intp)
+    return np.where(sign == 45, -x, x), bad
+
+
+def _scale(n, p):
+    """``n * 10**q`` rounded to float64 from ``_P10``'s columns ``p``, and where that is unsure.
+
+    The double-double product is within 2**-100 of the exact one, so its
+    rounding is float()'s unless it lies within 2**-30 ulp of a midpoint
+    (+-1/2 ulp, or -1/4 ulp below a power of two).
+    """
+    hi, lo, hi_hi, hi_lo, k = p
+    a = n.astype(np.float64)
+    a_rest = (n - a.astype(np.uint64)).view(np.int64).astype(np.float64)    # exact
+    prod = a * hi
+    a_hi, a_lo = _split(a)
+    err = ((a_hi * hi_hi - prod) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo   # TwoProduct
+    err += a * lo + a_rest * hi
+    r = prod + err
+    f = ((prod - r) + err) / np.spacing(r)          # the rest, in ulps of r
+    unsure = np.abs(np.abs(np.abs(f) - 0.375) - 0.125) < 2.0**-30
+    with np.errstate(over="ignore"):                # only a token sent to float() overflows
+        return np.ldexp(r, k.astype(np.intp)), unsure

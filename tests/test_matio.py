@@ -5,14 +5,17 @@ import locale
 import math
 import os
 import stat
+import threading
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nlrm import ParseError, ShapeError, gen_uniform, read_matrix, write_matrix
+from nlrm import matio, textread
 from nlrm.cli import main
 from nlrm.matio import _BLOCK, format_for_path, read_trace, write_json
 
@@ -644,6 +647,8 @@ MM_ERRORS = {
     "missing_size_line": MM_HEADER + "% only comments\n",
     "non_integer_size": MM_HEADER + "2 x\n1\n",
     "zero_size": MM_HEADER + "0 2\n",
+    "count_far_above_file": MM_HEADER + "100000 100000\n1\n",
+    "count_beyond_any_array": MM_HEADER + "10000000000 10000000000\n1\n",
 }
 
 
@@ -783,3 +788,201 @@ def test_reader_matches_oracle_on_generated_files(tmp_path, fmt, make_text):
         read_ok += not isinstance(got, str)
     assert mismatches == []
     assert 200 < read_ok < 1800        # both outcomes are well exercised
+
+
+# The block reader against Python's float(), token by token.  Small reads make
+# rows and tokens cross block ends; a reader that sends the file on to
+# np.loadtxt fails these tests, so every value comes from the block reader or
+# from its own float() calls.
+
+def near_midpoint(x, digits):
+    """The midpoint above ``x``, rounded to ``digits`` significant digits."""
+    mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+    return format(mid, f".{digits - 1}e")
+
+
+def reader_stress_tokens(rng):
+    bits = random_bit_patterns(600, int(rng.integers(2**32))).tolist()
+    mantissas = [str(rng.integers(10**18, 10**19, dtype=np.uint64))[: rng.integers(1, 20)]
+                 for _ in range(600)]
+    twenty_digits = [str(rng.integers(10**19, 2**64, dtype=np.uint64)) for _ in range(40)]
+    powers = [math.ldexp(1.0, int(k)) for k in rng.integers(-1074, 1024, 200)]
+    tokens = (
+        [repr(x) for x in bits] + ["%.17g" % x for x in bits]
+        + [f"{m}e{e}" for m, e in zip(mantissas, rng.integers(-340, 321, 600))]
+        + [f"-{m[:1]}.{m[1:] or 0}E{e:+d}" for m, e in zip(mantissas, rng.integers(-340, 321, 600))]
+        + [f"{m[:k]}.{m[k:]}" for m in mantissas[:300] for k in [rng.integers(len(m) + 1)]]
+        + [str(2**53 + int(v)) for v in rng.integers(0, 2**62, 200)]          # ties above 2**53
+        + [near_midpoint(abs(x), int(d)) for x, d in zip(bits[:200], rng.integers(15, 20, 200))
+           if 1e-300 < abs(x) < 1e300]
+        + [repr(y) for p in powers for y in (math.nextafter(p, 0), p, math.nextafter(p, math.inf))]
+        + [near_midpoint(math.nextafter(p, 0), 17) for p in powers if 1e-300 < p < 1e300]
+        + [str(k) for k in range(-300, 301)] + twenty_digits + [f"{t}e-30" for t in twenty_digits]
+        + ["-0", "0", "-0.0", "0.000", "0.000123456789012345678", "0.0000000000000000000001",
+           "00000000000000000000000123", "1234567890123456789", "12345678901234567890",
+           "9999999999999999999", "10000000000000000000", "-18446744073709551615",
+           "1e308", "1.7976931348623157e+308", "1.7976931348623158e308", "2.2250738585072014e-308",
+           "2.2250738585072011e-308", "4.9406564584124654e-324", "5e-324", "2.4703282292062328e-324",
+           "2.4703282292062327E-324", "1e-400", "1E5", "1e+05", "1E-5", "+1.5", ".5", "5.", "-.5e1",
+           "1e0005", "9007199254740993", "9007199254740992.5", "123.456e-310", "1e289", "1e290"]
+    )
+    return [t for t in tokens if math.isfinite(float(t))]
+
+
+def write_tokens(path, tokens, fmt, width=7):
+    """``tokens`` as a CSV of ``width`` columns or a MatrixMarket body, with varied line ends."""
+    tokens = tokens[: len(tokens) // width * width]
+    with open(path, "w", newline="") as fh:
+        if fmt == "csv":
+            for r in range(0, len(tokens), width):
+                eol = "\r\n" if r % 3 else "\n"
+                fh.write(",".join(tokens[r:r + width]) + eol + ("" if r % 5 else eol))
+        else:
+            fh.write(f"{MM_HEADER}% c\n{len(tokens) // width} {width}\n")
+            fh.write("".join(t + ["\n", "\r\n", " ", "\t\x0b ", "\n\n"][i % 5]
+                             for i, t in enumerate(tokens)))
+    want = np.array([float(t) for t in tokens])
+    return in_write_order(want, (len(tokens) // width, width), fmt)
+
+
+READER_TOKENS = reader_stress_tokens(np.random.default_rng(2025))
+
+
+def hard_cases(max_rel=2.0**-110):
+    """Tokens ``p`` e ``q`` of 19 digits within ``max_rel`` of a midpoint between doubles.
+
+    A convergent ``p/k`` of ``2**(e-1) / 10**q`` with odd ``k`` in
+    (2**53, 2**54) puts ``p * 10**q`` next to the midpoint ``k * 2**(e-1)``,
+    closer than any double-double product can tell apart.
+    """
+    tokens = []
+    for q in list(range(-300, -22)) + list(range(23, 280)):
+        ten = Fraction(10) ** q
+        e = math.floor(math.log2(500 * ten)) + 1
+        x = Fraction(2) ** (e - 1) / ten
+        a, b, h0, h1, k0, k1 = x.numerator, x.denominator, 0, 1, 1, 0
+        while b and k1 < 2**54 and h1 < 10**19:
+            t, (a, b) = a // b, (b, a % b)
+            h0, h1, k0, k1 = h1, t * h1 + h0, k1, t * k1 + k0
+            if 2**53 < k1 < 2**54 and k1 % 2 and h1 < 10**19:
+                mid = k1 * Fraction(2) ** (e - 1)
+                if 0 < abs(h1 * ten - mid) < max_rel * mid:
+                    tokens.append(f"{h1}e{q}")
+    return tokens
+
+
+def no_loadtxt(*args):
+    raise AssertionError("the block reader gave the file to np.loadtxt")
+
+
+@pytest.mark.parametrize("fmt", sorted(ORACLES))
+class TestBlockReaderAgainstFloat:
+    @pytest.mark.parametrize("read_size", [64, 256])
+    def test_bits_of_every_token(self, tmp_path, monkeypatch, fmt, read_size):
+        want = write_tokens(tmp_path / "m", READER_TOKENS, fmt)
+        monkeypatch.setattr(textread, "_READ_MIN", read_size)
+        monkeypatch.setattr(textread, "_READ_MAX", read_size)
+        monkeypatch.setattr(matio, "_loadtxt", no_loadtxt)
+        got = read_matrix(tmp_path / "m", fmt)
+        assert_same_bits(got, want)
+        assert got.strides == want.strides
+
+    def test_hard_cases_near_midpoints(self, tmp_path, monkeypatch, fmt):
+        tokens = hard_cases()
+        assert len(tokens) >= 40
+        want = write_tokens(tmp_path / "m", tokens, fmt, width=4)
+        monkeypatch.setattr(textread, "_READ_MIN", 64)     # few tokens a block: all go to float()
+        monkeypatch.setattr(textread, "_READ_MAX", 64)
+        monkeypatch.setattr(matio, "_loadtxt", no_loadtxt)
+        assert_same_bits(read_matrix(tmp_path / "m", fmt), want)
+
+    def test_unsure_values_come_from_float(self, tmp_path, monkeypatch, fmt):
+        scale = textread._scale
+
+        def every_third_unsure(n, p):
+            values, unsure = scale(n, p)
+            unsure[::3] = True
+            values[unsure] = np.nan        # float() must replace each of them
+            return values, unsure
+
+        want = write_tokens(tmp_path / "m", READER_TOKENS, fmt)
+        monkeypatch.setattr(textread, "_scale", every_third_unsure)
+        monkeypatch.setattr(textread, "_READ_MIN", 64)
+        monkeypatch.setattr(textread, "_READ_MAX", 64)
+        monkeypatch.setattr(matio, "_loadtxt", no_loadtxt)
+        assert_same_bits(read_matrix(tmp_path / "m", fmt), want)
+
+    def test_all_unsure_sends_the_file_to_loadtxt(self, tmp_path, monkeypatch, fmt):
+        scale = textread._scale
+        monkeypatch.setattr(textread, "_scale", lambda n, p: (scale(n, p)[0] * np.nan, n >= 0))
+        want = write_tokens(tmp_path / "m", READER_TOKENS, fmt)
+        assert_same_bits(read_matrix(tmp_path / "m", fmt), want)
+
+    def test_token_longer_than_a_read(self, tmp_path, monkeypatch, fmt):
+        tokens = ["0." + "3" * 100, "1.5", "-2", "0.25"] * 7
+        want = write_tokens(tmp_path / "m", tokens, fmt)
+        monkeypatch.setattr(textread, "_READ_MIN", 64)
+        monkeypatch.setattr(textread, "_READ_MAX", 64)
+        assert_same_bits(read_matrix(tmp_path / "m", fmt), want)
+
+
+@pytest.mark.parametrize("body", ["1\x0b2\x0c\n3\x1f4\n", "1\x012\n3 4\n", "1\x002\n3 4\n"])
+def test_control_bytes_in_a_matrix_market_body(tmp_path, body):
+    # str.split() takes \x0b, \x0c and \x1c-\x1f as spaces, and \x00-\x08 as text
+    path = tmp_path / "m.mtx"
+    path.write_bytes((MM_HEADER + "2 2\n" + body).encode())
+    assert read_outcome(lambda p: read_matrix(p, "matrix_market_dense"), path) == \
+        read_outcome(oracle_read_matrix_market, path)
+
+
+@pytest.mark.skipif(
+    locale.getpreferredencoding(False).lower() not in ("utf-8", "utf8"),
+    reason="the oracles decode with the locale's encoding; the files are UTF-8",
+)
+@pytest.mark.parametrize("fmt, make_text", [
+    ("csv", random_csv_text),
+    ("matrix_market_dense", random_matrix_market_text),
+])
+def test_small_reads_match_oracle_on_generated_files(tmp_path, monkeypatch, fmt, make_text):
+    # rows, blank lines and bad tokens that cross block ends keep the oracle's outcome
+    monkeypatch.setattr(textread, "_READ_MIN", 16)
+    monkeypatch.setattr(textread, "_READ_MAX", 16)
+    rng = np.random.default_rng(2026)
+    mismatches = []
+    for case in range(300):
+        text = make_text(rng)
+        path = tmp_path / f"m{case}"
+        path.write_bytes(text.encode())
+        if read_outcome(lambda p: read_matrix(p, fmt), path) != read_outcome(ORACLES[fmt][0], path):
+            mismatches.append(text)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("shape", [(800, 800), (20, 100_000)])
+def test_csv_read_memory_bounded_by_output(tmp_path, shape):
+    m = gen_uniform(*shape, 9)
+    write_matrix(m, tmp_path / "m.csv")
+    tracemalloc.start()
+    try:
+        back = read_matrix(tmp_path / "m.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_bits(back, m)
+    assert peak < 2 * m.nbytes
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_csv_pipe_read(tmp_path):
+    m = gen_uniform(40, 30, 10)
+    write_matrix(m, tmp_path / "m.csv")
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes((tmp_path / "m.csv").read_bytes()))
+    writer.start()
+    try:
+        back = read_matrix(pipe, "csv")
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert_same_bits(back, m)
