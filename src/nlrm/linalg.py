@@ -23,6 +23,10 @@ Conventions:
   truncation is ``gesdd``'s instead.  The routes agree to rounding
   amplified by ``s_1 / s_r`` (measured in ROADMAP.md, Findings), not bit
   for bit.
+* Complement: a rank-r truncation can also return an orthonormal basis of
+  the rest of its shorter side (``U``'s side when ``m <= n``), which every
+  route has computed anyway.  It carries no sign convention: only the
+  projector ``C C' = I - U U'`` it gives is used.
 """
 
 from typing import NamedTuple, Optional
@@ -107,7 +111,8 @@ def householder_qr(a: np.ndarray) -> QrFactors:
     return QrFactors(q, r)
 
 
-def thin_svd(a: np.ndarray, symmetric: bool = False, rank: Optional[int] = None) -> SvdTriplet:
+def thin_svd(a: np.ndarray, symmetric: bool = False, rank: Optional[int] = None,
+             complement: bool = False):
     """Thin SVD with the package sign convention: ``min(m, n)`` triplets, or
     the top ``rank`` of them.
 
@@ -125,6 +130,13 @@ def thin_svd(a: np.ndarray, symmetric: bool = False, rank: Optional[int] = None)
     would lose accuracy; then, and with ``rank=None``, ``gesdd`` runs.
     Every route is logged as one ``(m, n)`` decomposition.
 
+    With ``complement=True`` (``rank`` required) the result is the pair
+    ``(triplet, c)``: ``c`` is an orthonormal basis of the orthogonal
+    complement of ``u``'s columns when ``m <= n``, of ``v``'s when ``m > n``,
+    with ``min(m, n) - rank`` columns.  Every route has computed a complete
+    basis of that side already (the other eigenvectors, or the trailing
+    columns of ``gesdd``'s square factor), so this costs no more work.
+
     Raises :class:`NumericError` if the iterative backend fails to
     converge (the backend does not report its iteration count; the error
     carries the routine name and shape instead).
@@ -136,48 +148,58 @@ def thin_svd(a: np.ndarray, symmetric: bool = False, rank: Optional[int] = None)
         raise ShapeError(
             f"rank must satisfy 1 <= rank <= min(m, n) = {min(m, n)}, got {rank}"
         )
+    if complement and rank is None:
+        raise ShapeError("a complement basis needs a rank")
     if not np.isfinite(a).all():
         raise NumericError("thin_svd input contains non-finite entries")
     instrument.log_svd(m, n)
-    u, s, v = _decompose(a, symmetric, rank)
+    u, s, v, comp = _decompose(a, symmetric, rank, complement)
     u, v = apply_sign_convention(u, v)
     if rank is not None:
         u, s, v = (np.ascontiguousarray(x[..., :rank]) for x in (u, s, v))
-    return SvdTriplet(u, s, v)
+    return (SvdTriplet(u, s, v), comp) if complement else SvdTriplet(u, s, v)
 
 
-def _decompose(a: np.ndarray, symmetric: bool, rank: Optional[int]):
-    """``(u, s, v)`` by :func:`thin_svd`'s route; a backend failure is a :class:`NumericError`."""
+def _decompose(a: np.ndarray, symmetric: bool, rank: Optional[int], complement: bool):
+    """``(u, s, v, c)`` by :func:`thin_svd`'s route, ``c`` None unless ``complement``;
+    a backend failure is a :class:`NumericError`."""
     routine = "syevd"
     try:
         if symmetric:
-            usv = _eigh_svd(a)
+            usvc = _eigh_svd(a, rank, complement)
         else:
-            usv = None if rank is None else _gram_svd(a, rank)
-        if usv is None:
+            usvc = None if rank is None else _gram_svd(a, rank, complement)
+        if usvc is None:
             routine = "gesdd"
             u, s, vt = np.linalg.svd(a, full_matrices=False)
-            usv = u, s, vt.T
+            comp = None
+            if complement:      # the shorter side's factor is square
+                comp = u[:, rank:] if a.shape[0] <= a.shape[1] else vt[rank:].T
+            usvc = u, s, vt.T, comp
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"SVD did not converge (lapack {routine}, shape {a.shape[0]}x{a.shape[1]})"
         ) from exc
-    return usv
+    return usvc
 
 
-def _eigh_svd(a: np.ndarray):
-    """``(u, s, v)`` of a symmetric matrix, from one ``eigh``."""
-    lam, u = np.linalg.eigh(a)
+def _eigh_svd(a: np.ndarray, rank: Optional[int] = None, complement: bool = False):
+    """``(u, s, v, c)`` of a symmetric matrix from one ``eigh``: the top ``rank``
+    triplets (all by default) and, with ``complement``, the other eigenvectors."""
+    lam, q = np.linalg.eigh(a)
     order = np.argsort(-np.abs(lam), kind="stable")
-    lam, u = lam[order], u[:, order]
-    return u, np.abs(lam), u * np.where(lam < 0.0, -1.0, 1.0)
+    keep = order[:rank]
+    lam, u = lam[keep], q[:, keep]
+    comp = q[:, order[rank:]] if complement else None
+    return u, np.abs(lam), u * np.where(lam < 0.0, -1.0, 1.0), comp
 
 
-def _gram_svd(a: np.ndarray, rank: int):
-    """Top-``rank`` ``(u, s, v)`` from one ``eigh`` of ``A A'`` (m <= n) or ``A' A``.
+def _gram_svd(a: np.ndarray, rank: int, complement: bool = False):
+    """Top-``rank`` ``(u, s, v, c)`` from one ``eigh`` of ``A A'`` (m <= n) or ``A' A``.
 
     The Gram matrix's eigenvectors are one side; ``s = sqrt(lambda)`` and the
-    other side is ``A' U / s`` (or ``A V / s``).  Returns ``None`` where the
+    other side is ``A' U / s`` (or ``A V / s``).  With ``complement``, ``c``
+    holds the other eigenvectors, else it is None.  Returns ``None`` where the
     Gram matrix overflows, or its ``rank``-th eigenvalue is below
     ``GRAM_MIN_RATIO**2`` times the largest or near underflow: there its
     rounding, ``eps * s_1**2``, is no longer small against ``s_rank**2``.
@@ -187,13 +209,14 @@ def _gram_svd(a: np.ndarray, rank: int):
         g = a @ a.T if wide else a.T @ a
     if not np.isfinite(g).all():
         return None
-    lam, w = np.linalg.eigh(g)
-    lam, w = lam[: -rank - 1 : -1], w[:, : -rank - 1 : -1]
+    lam, q = np.linalg.eigh(g)
+    lam, w = lam[: -rank - 1 : -1], q[:, : -rank - 1 : -1]
     if not lam[-1] > max(GRAM_MIN_RATIO**2 * lam[0], _GRAM_FLOOR):
         return None
     s = np.sqrt(lam)
     other = (a.T @ w if wide else a @ w) / s
-    return (w, s, other) if wide else (other, s, w)
+    comp = q[:, : q.shape[1] - rank] if complement else None
+    return (w, s, other, comp) if wide else (other, s, w, comp)
 
 
 def apply_sign_convention(u: np.ndarray, v: np.ndarray):

@@ -18,10 +18,11 @@ reads the token instead when that product lies within 2**-30 ulp of a
 rounding boundary (a midpoint, or the quarter-ulp point below a power of
 two), when ``q`` is outside -307..289, and for the rest of its own grammar
 (more digits, longer exponents).  A file holding any other token (spaces
-around a value, ``1_0``, non-ASCII digits, a bad token) or a ragged row,
-and a CSV pipe, which cannot be read twice, is read by ``np.loadtxt``; when
-numpy rejects it too, a per-token pass with ``float`` either names the
-offending line or reads the rare token only ``float`` accepts.
+around a value, ``1_0``, non-ASCII digits, a bad token) or a ragged row is
+read by ``np.loadtxt``; when numpy rejects it too, a per-token pass with
+``float`` either names the offending line or reads the rare token only
+``float`` accepts.  An input that cannot seek, such as a pipe, is read into
+memory once, so every route can reread it.
 
 Result files are JSON with a versioned schema.  An output that replaces an
 existing regular file of the user's own is unlinked and created anew rather
@@ -223,15 +224,24 @@ def format_for_path(path) -> str:
     return MATRIX_MARKET if str(path).lower().endswith(".mtx") else CSV
 
 
+def _open_binary(path):
+    """``path`` opened for binary reads that may seek back: an input that
+    cannot seek, such as a pipe, is read into memory once."""
+    raw = open(path, "rb")
+    if raw.seekable():
+        return raw
+    with raw:
+        return io.BytesIO(raw.read())
+
+
 def _read_csv(path):
     from . import textread          # on first use: see its docstring
 
-    with open(path, "rb") as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
-        if raw.seekable():          # a pipe cannot be read twice
-            values = textread.read_blocks(raw, csv=True)
-            if values is not None:
-                return values
-            raw.seek(0)
+    with _open_binary(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
+        values = textread.read_blocks(raw, csv=True)
+        if values is not None:
+            return values
+        raw.seek(0)
         values = _loadtxt(fh, ",")
         if values is not None:
             return values
@@ -258,7 +268,7 @@ def _read_csv(path):
 def _read_matrix_market(path):
     from . import textread
 
-    with open(path, encoding="utf-8") as fh:
+    with _open_binary(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
         first = fh.readline()
         if not first:
             raise ParseError(f"{path}: empty file")
@@ -296,7 +306,7 @@ def _read_matrix_market(path):
             raise ParseError(f"{path}: line {lineno}: dimensions must be positive")
 
         start = fh.tell()
-        values = textread.read_body(fh.buffer, lineno, rows * cols)
+        values = textread.read_body(raw, lineno, rows * cols)
         if values is None:
             fh.seek(start)
             values = _loadtxt(fh, None)

@@ -6,9 +6,18 @@ The dense tangent projection of Y at a rank-r point with singular frame
 produces the same operator factored as ``[U Q] M [V Qh]'`` from two thin
 QR factorizations and a 2r x 2r core, which is what lets the solver
 replace a full SVD per iteration with an SVD of the small core.
+
+Where 2r > min(m, n) the structured form does not exist and the solver
+evaluates the projection densely.  Given an orthonormal basis C of the
+complement of U (m <= n), ``I - U U' = C C'`` turns the operator into
+``Y - C (C'Y - (C'Y V) V')``; with D the complement of V (m > n) it is
+``Y - (Y D - U (U' Y D)) D'``.  That is about 4 (m - r) n (m + r) flops
+(or 4 m (n - r)(n + r)) against the reference formula's
+8 r m n + 2 r^2 (m + n), and two products with an m x n operand or
+result instead of four.
 """
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,7 +54,8 @@ class TangentFactored(NamedTuple):
         return matmul(matmul(self.left, self.core), self.right.T)
 
 
-def project_fixed_rank(a: np.ndarray, rank: int, symmetric: bool = False) -> SvdTriplet:
+def project_fixed_rank(a: np.ndarray, rank: int, symmetric: bool = False,
+                       complement: bool = False):
     """Best rank-``rank`` approximation of ``a`` in Frobenius norm.
 
     Returns the top-``rank`` singular triplet from :func:`thin_svd`;
@@ -53,10 +63,12 @@ def project_fixed_rank(a: np.ndarray, rank: int, symmetric: bool = False) -> Svd
     ``symmetric=True`` takes the ``eigh`` route, which truncates the
     symmetric completion of ``a``'s lower triangle: exactly ``a`` when
     ``a == a.T``.  Otherwise the Gram route runs where it is accurate.
+    ``complement=True`` returns ``(triplet, c)`` with the complement basis
+    that :func:`tangent_project_dense` takes.
     """
     if a.ndim != 2:
         raise ShapeError("project_fixed_rank input must be 2-D")
-    return thin_svd(a, symmetric=symmetric, rank=rank)
+    return thin_svd(a, symmetric=symmetric, rank=rank, complement=complement)
 
 
 def project_nonnegative(a: np.ndarray) -> np.ndarray:
@@ -64,14 +76,32 @@ def project_nonnegative(a: np.ndarray) -> np.ndarray:
     return np.maximum(a, 0.0)
 
 
-def tangent_project_dense(frame: TangentFrame, y: np.ndarray) -> np.ndarray:
+def tangent_project_dense(
+    frame: TangentFrame, y: np.ndarray, complement: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Orthogonal projection of ``y`` onto the tangent space at ``frame``.
 
-    Reference implementation that forms the dense m x n result; the
-    structured variant below must agree with it.
+    Without ``complement`` this is the reference implementation that forms
+    the dense m x n result; the structured variant below must agree with
+    it.  ``complement`` is an orthonormal basis of the complement of ``u``'s
+    columns when m <= n, of ``v``'s when m > n (``thin_svd(...,
+    complement=True)`` returns it), and gives the same operator through
+    fewer products (module docstring).
     """
     u, v = frame
     _check_frame_shapes(frame, y)
+    if complement is not None:
+        m, n = y.shape
+        side = min(m, n)
+        if complement.shape != (side, side - u.shape[1]):
+            raise ShapeError(
+                f"complement has shape {complement.shape}, expected {(side, side - u.shape[1])}"
+            )
+        if m <= n:
+            cty = matmul(complement.T, y)                   # (m - r) x n
+            return y - matmul(complement, cty - matmul(matmul(cty, v), v.T))
+        yd = matmul(y, complement)                          # m x (n - r)
+        return y - matmul(yd - matmul(u, matmul(u.T, yd)), complement.T)
     uty = matmul(u.T, y)            # r x n
     yv = matmul(y, v)               # m x r
     utyv = matmul(uty, v)           # r x r

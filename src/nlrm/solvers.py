@@ -6,7 +6,9 @@ fixed-rank manifold with a full SVD of the dense iterate every step,
 while ``tap_solve`` projects onto the tangent space at the previous
 iterate first and retracts through a 2r x 2r core, so when 2r <= min(m, n)
 the only full-size SVD is the initialization (above that rank each step
-falls back to a full SVD).  Both then clamp at zero.  Every full-size
+falls back to a dense tangent projection, through the complement basis
+that the previous truncation returned, and a full SVD).  Both then clamp
+at zero.  Every full-size
 truncation is one ``eigh`` instead of an SVD: of the truncated matrix
 itself when the input is exactly symmetric, else of its smaller Gram
 matrix, unless that would lose accuracy and ``gesdd`` runs (see
@@ -215,6 +217,11 @@ def tap_solve(
     2r x 2r core, so no further m x n SVD is performed.  That holds when
     2r <= min(m, n); above that rank each step evaluates the projection
     densely and truncates it with a full SVD, as :func:`ap_solve` does.
+    That dense step computes ``Y - C (C'Y - (C'Y V) V')`` (m <= n) or
+    ``Y - (Y D - U (U'Y D)) D'`` (m > n), where C (D) is the complement of
+    U (V) that the previous truncation returned along with X: about
+    4 (m - r) n (m + r) flops against 8 r m n + 2 r^2 (m + n) for the
+    reference formula of :func:`nlrm.projections.tangent_project_dense`.
     The initial and the fallback truncations each run one ``eigh`` in place
     of that SVD: of the matrix itself when ``a`` is square and exactly
     equal to ``a.T``, else of its Gram matrix, unless ``gesdd`` is needed
@@ -227,27 +234,35 @@ def _project_solve(a, cfg, use_tangent, on_iterate):
     if cfg.max_iter < 1:
         raise DomainError("projection solvers need max_iter >= 1")
     r = cfg.rank
-    x = y = None
-    sym = False
+    x = y = comp = None
+    sym = fallback = False
+
+    def truncate(b):
+        nonlocal x, comp
+        if fallback:
+            x, comp = project_fixed_rank(b, r, symmetric=sym, complement=True)
+        else:
+            x = project_fixed_rank(b, r, symmetric=sym)
 
     def step(a, k):
-        nonlocal x, y, sym
-        m, n = a.shape
+        nonlocal x, y, sym, fallback
         if k == 1:
             # An exactly symmetric input sends every full-size truncation
             # through eigh.  Later truncation inputs are symmetric only up to
             # rounding; eigh reads one triangle, which truncates its symmetric
             # completion.  The first row against the first column rejects most
             # other inputs in O(n).
+            m, n = a.shape
             sym = m == n and np.array_equal(a[0], a[:, 0]) and np.array_equal(a, a.T)
-            x = project_fixed_rank(a, r, symmetric=sym)
+            # Where 2r > min(m, n), [U Q] cannot have 2r orthonormal columns:
+            # TAP evaluates the same operator densely, through the complement
+            # basis that each of its truncations then also returns.
+            fallback = use_tangent and 2 * r > min(m, n)
+            truncate(a)
         elif not use_tangent:
-            x = project_fixed_rank(y, r, symmetric=sym)
-        elif 2 * r > min(m, n):
-            # [U Q] cannot have 2r orthonormal columns here; fall back
-            # to the dense evaluation of the same operator.
-            dense = tangent_project_dense(TangentFrame(x.u, x.v), y)
-            x = project_fixed_rank(dense, r, symmetric=sym)
+            truncate(y)
+        elif fallback:
+            truncate(tangent_project_dense(TangentFrame(x.u, x.v), y, comp))
         else:
             x = retract_to_rank(tangent_project_structured(TangentFrame(x.u, x.v), y), r)
         x_dense = x.reconstruct()

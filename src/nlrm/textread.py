@@ -123,7 +123,9 @@ def read_blocks(fh, csv, count=None):
     longer than a read, a ragged CSV row, too many MatrixMarket values, too
     many tokens for ``float`` or no value at all.
     """
-    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    here = fh.tell()
+    size = fh.seek(0, os.SEEK_END) - here      # also for an in-memory buffer, which has no fileno
+    fh.seek(here)
     step = min(max(size // 32 & -8, _READ_MIN), _READ_MAX)
     buf = np.zeros(2 * step + 2 * _PAD, np.uint8)
     words = buf.view(np.uint64)

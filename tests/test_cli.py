@@ -2,7 +2,11 @@
 
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,3 +438,21 @@ class TestErrorMapping:
         monkeypatch.setattr(cli, "cmd_diag", command)
         assert main(["diag", "--trace", "unused.json"]) == 3
         assert capsys.readouterr().err == "numeric error: boom\n"
+
+
+def test_import_and_solve_load_neither_scipy_nor_the_text_reader():
+    # Modules held by a process that reads no matrix file move its memory:
+    # scipy.linalg alone adds about 23 MB of RSS, and the text reader's
+    # import-time tables moved the heap's layout by 15%.
+    code = (
+        "import sys, nlrm, nlrm.cli\n"
+        "a = nlrm.gen_graph_similarity(nlrm.gen_uniform(60, 2, 1))\n"
+        "nlrm.tap_solve(a, nlrm.SolverConfig(rank=4, max_iter=5))\n"
+        "print(sorted(m for m in ('scipy', 'nlrm.textread') if m in sys.modules))\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

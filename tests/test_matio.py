@@ -972,17 +972,41 @@ def test_csv_read_memory_bounded_by_output(tmp_path, shape):
     assert peak < 2 * m.nbytes
 
 
+def read_through_pipe(tmp_path, data, fmt):
+    """``read_matrix`` on a FIFO that a writer thread fills with ``data``."""
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(data), daemon=True)
+    writer.start()
+    try:
+        return read_matrix(pipe, fmt)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_csv_pipe_read(tmp_path):
     m = gen_uniform(40, 30, 10)
     write_matrix(m, tmp_path / "m.csv")
-    pipe = tmp_path / "pipe"
-    os.mkfifo(pipe)
-    writer = threading.Thread(target=lambda: pipe.write_bytes((tmp_path / "m.csv").read_bytes()))
-    writer.start()
-    try:
-        back = read_matrix(pipe, "csv")
-    finally:
-        writer.join(timeout=10)
-    assert not writer.is_alive()
+    assert_same_bits(read_through_pipe(tmp_path, (tmp_path / "m.csv").read_bytes(), "csv"), m)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_matrix_market_pipe_read(tmp_path):
+    m = gen_uniform(40, 30, 11)
+    write_matrix(m, tmp_path / "m.mtx")
+    back = read_through_pipe(tmp_path, (tmp_path / "m.mtx").read_bytes(), "matrix_market_dense")
     assert_same_bits(back, m)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("fmt, data, message", [
+    ("csv", b"1,2\n3,x\n", "line 2: non-numeric token 'x'"),
+    ("csv", b"1,2\n3\n", "line 2: expected 2 fields, got 1"),
+    ("matrix_market_dense", f"{matio._MM_BANNER}\n2 1\n1\nx\n".encode(),
+     "line 4: non-numeric token 'x'"),
+])
+def test_bad_pipe_names_its_line(tmp_path, fmt, data, message):
+    with pytest.raises(ParseError, match=f"pipe: {message}$"):
+        read_through_pipe(tmp_path, data, fmt)

@@ -8,6 +8,7 @@ from nlrm import (
     ShapeError,
     TangentFrame,
     frobenius_norm,
+    gen_graph_similarity,
     gen_uniform,
     householder_qr,
     project_fixed_rank,
@@ -18,6 +19,7 @@ from nlrm import (
     tangent_project_structured,
     thin_svd,
 )
+from nlrm import linalg
 from nlrm.rng import random_uniform
 
 
@@ -152,6 +154,101 @@ class TestTangentProjectDense:
         _, v = random_frame(10, 8, 3, 19)
         with pytest.raises(ShapeError, match="^frame rank mismatch: u has 2 columns, v has 3$"):
             project(TangentFrame(u, v), np.ones((10, 8)))
+
+
+def sparse_low_rank(m, n, k, seed):
+    """A rank-``k`` product of sparse uniform factors plus ``1e-4`` noise on its
+    zeros: ``s_r < 1e-3 s_1`` for every ``r > k``, so truncations take ``gesdd``."""
+    b, c = gen_uniform(m, k, seed), gen_uniform(k, n, seed + 1)
+    b[b < 0.4] = 0.0
+    c[c < 0.4] = 0.0
+    a = b @ c
+    return a + 1e-4 * gen_uniform(m, n, seed + 2) * (a == 0.0)
+
+
+def complement_cases():
+    """Inputs with 2r > min(m, n) on each full-size truncation route:
+    ``(matrix, rank, symmetric, route)``."""
+    graph = gen_graph_similarity(gen_uniform(40, 2, 60) * 3.0)
+    return {
+        "symmetric-40": (graph, 24, True, "symmetric"),
+        "gram-wide-20x50": (gen_uniform(20, 50, 61), 12, False, "gram"),
+        "gram-tall-50x20": (gen_uniform(50, 20, 62), 12, False, "gram"),
+        "gram-square-30": (gen_uniform(30, 30, 63), 18, False, "gram"),
+        "gesdd-wide-14x30": (sparse_low_rank(14, 30, 3, 64), 9, False, "gesdd"),
+        "gesdd-tall-30x14": (sparse_low_rank(30, 14, 3, 65), 9, False, "gesdd"),
+        "gesdd-square-20": (sparse_low_rank(20, 20, 3, 69), 12, False, "gesdd"),
+    }
+
+
+def spy_routes(monkeypatch):
+    """Names of the routes that full-size truncations take from now on."""
+    routes = []
+    for name, route in (("_eigh_svd", "symmetric"), ("_gram_svd", "gram")):
+        real = getattr(linalg, name)
+
+        def spied(*args, _real=real, _route=route, **kwargs):
+            out = _real(*args, **kwargs)
+            routes.append(_route if out is not None else "gesdd")
+            return out
+
+        monkeypatch.setattr(linalg, name, spied)
+    return routes
+
+
+def touches_full_size(shapes, m, n):
+    """Logged products with an ``m x n`` operand or result."""
+    return [(p, k, q) for p, k, q in shapes if (m, n) in ((p, k), (k, q), (p, q))]
+
+
+class TestTangentProjectComplement:
+    """The dense step through the complement basis against the reference formula."""
+
+    @pytest.mark.parametrize("name", sorted(complement_cases()))
+    def test_matches_reference_on_every_route(self, monkeypatch, name):
+        a, r, sym, route = complement_cases()[name]
+        routes = spy_routes(monkeypatch)
+        x, comp = project_fixed_rank(a, r, symmetric=sym, complement=True)
+        assert routes == [route]
+        side = min(a.shape)
+        basis = np.hstack([x.u if a.shape[0] <= a.shape[1] else x.v, comp])
+        assert comp.shape == (side, side - r)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(side), rtol=0, atol=1e-12)
+        frame = TangentFrame(x.u, x.v)
+        for y in (project_nonnegative(x.reconstruct()), gen_uniform(*a.shape, 67)):
+            want = tangent_project_dense(frame, y)
+            got = tangent_project_dense(frame, y, comp)
+            assert frobenius_norm(got - want) / frobenius_norm(want) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(complement_cases()))
+    def test_two_products_touch_full_size(self, name):
+        a, r, sym, _ = complement_cases()[name]
+        x, comp = project_fixed_rank(a, r, symmetric=sym, complement=True)
+        y = project_nonnegative(x.reconstruct())
+        for basis, count in ((comp, 2), (None, 4)):
+            with record_ops() as log:
+                tangent_project_dense(TangentFrame(x.u, x.v), y, basis)
+            assert len(touches_full_size(log.matmul_shapes, *a.shape)) == count
+
+    @pytest.mark.parametrize("shape, symmetric", [((9, 14), False), ((14, 9), False),
+                                                  ((12, 12), False), ((12, 12), True)])
+    def test_full_rank_complement_is_empty_and_step_returns_y(self, shape, symmetric):
+        a = gen_uniform(*shape, 68)
+        if symmetric:
+            a = a + a.T
+        r = min(shape)
+        x, comp = project_fixed_rank(a, r, symmetric=symmetric, complement=True)
+        assert comp.shape == (r, 0)
+        y = gen_uniform(*shape, 69)
+        assert np.array_equal(tangent_project_dense(TangentFrame(x.u, x.v), y, comp), y)
+
+    def test_complement_shape_checked(self):
+        x, comp = project_fixed_rank(gen_uniform(10, 16, 70), 6, complement=True)
+        frame = TangentFrame(x.u, x.v)
+        with pytest.raises(ShapeError, match="complement has shape"):
+            tangent_project_dense(frame, np.ones((10, 16)), comp[:, 1:])
+        with pytest.raises(ShapeError, match="needs a rank"):
+            thin_svd(gen_uniform(10, 16, 70), complement=True)
 
 
 class TestTangentProjectStructured:

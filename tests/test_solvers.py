@@ -29,9 +29,10 @@ from nlrm import (
     tap_solve,
 )
 from nlrm.instrument import record_ops
-from nlrm.linalg import matmul
+from nlrm.linalg import apply_sign_convention, matmul
 from nlrm.rng import random_uniform
 from nlrm.solvers import _NMF_EPS, METHODS, _hals_clamped_step, _hals_update, _nmf_solve
+from test_projections import complement_cases, touches_full_size
 
 
 def low_rank_nonnegative(m, n, r, seed):
@@ -299,6 +300,8 @@ def gram_route_cases():
         "wide-30x200": (gen_uniform(30, 200, 45), 4, 30),
         "tall-200x30": (gen_uniform(200, 30, 46), 4, 30),
         "dense-fallback-12x9": (gen_uniform(12, 9, 12), 5, 30),
+        "dense-fallback-9x14": (gen_uniform(9, 14, 51), 5, 30),
+        "dense-fallback-20x20": (gen_uniform(20, 20, 52), 12, 30),
     }
 
 
@@ -356,6 +359,70 @@ class TestGramRoute:
             solve(a, SolverConfig(rank=4, max_iter=3))
         full = [shape for shape in log.svd_shapes if shape == a.shape]
         assert len(gesdd) == (len(full) if gesdd_runs else 0)
+
+
+def dense_fallback_errors(a, r, steps, symmetric):
+    """Per-iteration errors of TAP's dense fallback through the reference formula."""
+    x = project_fixed_rank(a, r, symmetric=symmetric)
+    errors = []
+    for k in range(steps):
+        if k:
+            dense = tangent_project_dense(TangentFrame(x.u, x.v), project_nonnegative(x_dense))
+            x = project_fixed_rank(dense, r, symmetric=symmetric)
+        x_dense = x.reconstruct()
+        errors.append(frobenius_norm(a - x_dense) / frobenius_norm(a))
+    return errors
+
+
+class TestComplementStep:
+    """TAP's dense fallback projects through the complement basis its last
+    truncation returned; the reference formula is the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(complement_cases()))
+    def test_errors_match_reference_loop(self, name):
+        a, r, sym, _ = complement_cases()[name]
+        got = tap_solve(a, SolverConfig(rank=r, max_iter=20, rel_change_tol=1e-300))
+        want = dense_fallback_errors(a, r, 20, sym)
+        np.testing.assert_allclose(got.trace.rel_errors, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.trace.rel_errors, want, rtol=1e-10)  # gesdd's are ~1e-5
+        assert min(rec.min_entry for rec in got.trace.records) < 0   # the clamp is active
+
+    @pytest.mark.parametrize("name", sorted(complement_cases()))
+    def test_one_step_touches_full_size_three_times(self, name):
+        # two products of the tangent step and the reconstruction (four and
+        # one through the reference formula)
+        a, r, _, _ = complement_cases()[name]
+        logs = []
+        for steps in (1, 2):
+            with record_ops() as log:
+                tap_solve(a, SolverConfig(rank=r, max_iter=steps, rel_change_tol=1e-300))
+            logs.append(log)
+        step = logs[1].matmul_shapes[len(logs[0].matmul_shapes):]
+        assert len(touches_full_size(step, *a.shape)) == 3
+        assert logs[1].svd_shapes == [a.shape] * 2
+
+
+def old_eigh_truncation(a, r):
+    """The symmetric truncation as it was: all eigenpairs sorted, signed and
+    sign-normalized, then the top ``r`` sliced and copied."""
+    lam, u = np.linalg.eigh(a)
+    order = np.argsort(-np.abs(lam), kind="stable")
+    lam, u = lam[order], u[:, order]
+    u, v = apply_sign_convention(u, u * np.where(lam < 0.0, -1.0, 1.0))
+    return tuple(np.ascontiguousarray(t[..., :r]) for t in (u, np.abs(lam), v))
+
+
+def test_symmetric_truncation_keeps_old_bits():
+    from test_acceptance import _point_clouds
+
+    inputs = [gen_graph_similarity(pts) for pts in _point_clouds().values()]
+    inputs.append(gen_graph_similarity(gen_uniform(1000, 2, 53) * 5.0))
+    for a in inputs:
+        for r in (3, 20):
+            got = project_fixed_rank(a, r, symmetric=True)
+            for g, w in zip(got, old_eigh_truncation(a, r)):
+                assert g.flags.c_contiguous and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
 
 
 class TestNmf:
