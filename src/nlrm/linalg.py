@@ -22,13 +22,18 @@ Conventions:
   division by ``s``.  Where ``s_r / s_1`` is below ``GRAM_MIN_RATIO`` the
   truncation is ``gesdd``'s instead.  The routes agree to rounding
   amplified by ``s_1 / s_r`` (measured in ROADMAP.md, Findings), not bit
-  for bit.
+  for bit.  Where the Gram matrix has at least ``GRAM_PARTIAL_RATIO * r``
+  rows, only its top r eigenpairs are computed, by LAPACK ``dsyevr`` from
+  the OpenBLAS numpy loads; a numpy without that symbol runs the full
+  ``eigh`` instead, so the last bits depend on the numpy build.
 * Complement: a rank-r truncation can also return an orthonormal basis of
   the rest of its shorter side (``U``'s side when ``m <= n``), which every
   route has computed anyway.  It carries no sign convention: only the
   projector ``C C' = I - U U'`` it gives is used.
 """
 
+import ctypes
+import functools
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -41,6 +46,9 @@ from .errors import NumericError, ShapeError
 GRAM_MIN_RATIO = 1e-3
 # Gram eigenvalues below this carry subnormal rounding of the squared entries.
 _GRAM_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+# A Gram matrix with at least this many rows per kept eigenpair computes only
+# those (dsyevr); below it the full eigh is faster (ROADMAP.md, Findings).
+GRAM_PARTIAL_RATIO = 20
 
 
 class QrFactors(NamedTuple):
@@ -125,10 +133,12 @@ def thin_svd(a: np.ndarray, symmetric: bool = False, rank: Optional[int] = None,
     (sign +1 at lambda = 0).
 
     Otherwise, with ``rank`` given, the top ``rank`` triplets come from one
-    ``eigh`` of the smaller Gram matrix (see :func:`_gram_svd`) unless
-    ``s_rank < GRAM_MIN_RATIO * s_1``, where squaring the condition number
-    would lose accuracy; then, and with ``rank=None``, ``gesdd`` runs.
-    Every route is logged as one ``(m, n)`` decomposition.
+    eigensolve of the smaller Gram matrix (see :func:`_gram_svd`): the top
+    ``rank`` eigenpairs alone when ``GRAM_PARTIAL_RATIO * rank <= min(m, n)``
+    and numpy's LAPACK exports ``dsyevr``, else a full ``eigh``.  Where
+    ``s_rank < GRAM_MIN_RATIO * s_1``, squaring the condition number would
+    lose accuracy; then, and with ``rank=None``, ``gesdd`` runs.  Every route
+    is logged as one ``(m, n)`` decomposition.
 
     With ``complement=True`` (``rank`` required) the result is the pair
     ``(triplet, c)``: ``c`` is an orthonormal basis of the orthogonal
@@ -177,10 +187,12 @@ def _decompose(a: np.ndarray, symmetric: bool, rank: Optional[int], complement: 
                 comp = u[:, rank:] if a.shape[0] <= a.shape[1] else vt[rank:].T
             usvc = u, s, vt.T, comp
     except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"SVD did not converge (lapack {routine}, shape {a.shape[0]}x{a.shape[1]})"
-        ) from exc
+        raise _not_converged(routine, a.shape) from exc
     return usvc
+
+
+def _not_converged(routine: str, shape) -> NumericError:
+    return NumericError(f"SVD did not converge (lapack {routine}, shape {shape[0]}x{shape[1]})")
 
 
 def _eigh_svd(a: np.ndarray, rank: Optional[int] = None, complement: bool = False):
@@ -195,28 +207,68 @@ def _eigh_svd(a: np.ndarray, rank: Optional[int] = None, complement: bool = Fals
 
 
 def _gram_svd(a: np.ndarray, rank: int, complement: bool = False):
-    """Top-``rank`` ``(u, s, v, c)`` from one ``eigh`` of ``A A'`` (m <= n) or ``A' A``.
+    """Top-``rank`` ``(u, s, v, c)`` from the eigenpairs of ``A A'`` (m <= n) or ``A' A``.
 
     The Gram matrix's eigenvectors are one side; ``s = sqrt(lambda)`` and the
-    other side is ``A' U / s`` (or ``A V / s``).  With ``complement``, ``c``
-    holds the other eigenvectors, else it is None.  Returns ``None`` where the
-    Gram matrix overflows, or its ``rank``-th eigenvalue is below
-    ``GRAM_MIN_RATIO**2`` times the largest or near underflow: there its
-    rounding, ``eps * s_1**2``, is no longer small against ``s_rank**2``.
+    other side is ``A' U / s`` (or ``A V / s``).  Where the Gram matrix has at
+    least ``GRAM_PARTIAL_RATIO * rank`` rows and no complement is asked for,
+    :func:`_top_eigh` computes the top ``rank`` eigenpairs alone; otherwise,
+    or where numpy's LAPACK lacks ``dsyevr``, one full ``eigh`` runs.  With
+    ``complement``, ``c`` holds the other eigenvectors, else it is None.
+    Returns ``None`` where the Gram matrix overflows, or its ``rank``-th
+    eigenvalue is below ``GRAM_MIN_RATIO**2`` times the largest or near
+    underflow: there its rounding, ``eps * s_1**2``, is no longer small
+    against ``s_rank**2``.
     """
     wide = a.shape[0] <= a.shape[1]
     with np.errstate(over="ignore"):
         g = a @ a.T if wide else a.T @ a
     if not np.isfinite(g).all():
         return None
-    lam, q = np.linalg.eigh(g)
-    lam, w = lam[: -rank - 1 : -1], q[:, : -rank - 1 : -1]
+    partial = (not complement and GRAM_PARTIAL_RATIO * rank <= len(g)
+               and g.dtype == np.float64)
+    syevr = _lapacke_dsyevr() if partial else None
+    if syevr is not None:
+        lam, w = _top_eigh(syevr, g, rank, a.shape)
+    else:
+        lam, q = np.linalg.eigh(g)
+        lam, w = lam[: -rank - 1 : -1], q[:, : -rank - 1 : -1]
     if not lam[-1] > max(GRAM_MIN_RATIO**2 * lam[0], _GRAM_FLOOR):
         return None
     s = np.sqrt(lam)
     other = (a.T @ w if wide else a @ w) / s
     comp = q[:, : q.shape[1] - rank] if complement else None
     return (w, s, other, comp) if wide else (other, s, w, comp)
+
+
+def _top_eigh(syevr, g: np.ndarray, rank: int, shape):
+    """The ``rank`` largest eigenvalues of symmetric ``g`` (C-contiguous float64,
+    overwritten), descending, and their eigenvectors as columns, by ``dsyevr``
+    with ``RANGE='I'``; a LAPACK failure is a :class:`NumericError` for ``shape``."""
+    n = len(g)
+    lam, z = np.empty(n), np.empty((rank, n))
+    found, isuppz = np.zeros(1, np.int64), np.empty(2 * rank, np.int64)
+    # column-major: g reads the same either way, and each row of z is an eigenvector
+    info = syevr(102, b"V", b"I", b"L", n, g.ctypes.data, n, 0.0, 0.0, n - rank + 1, n, 0.0,
+                 found.ctypes.data, lam.ctypes.data, z.ctypes.data, n, isuppz.ctypes.data)
+    if info != 0 or found[0] != rank:
+        raise _not_converged("syevr", shape)
+    return lam[rank - 1 :: -1], z[::-1].T
+
+
+@functools.cache
+def _lapacke_dsyevr():
+    """``LAPACKE_dsyevr`` (64-bit integers) from the OpenBLAS that numpy links,
+    bound on first use; None where numpy's LAPACK does not export it."""
+    try:
+        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_dsyevr64_
+    except (OSError, AttributeError):
+        return None
+    i64, f64, ptr, char = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
+    fn.argtypes = [ctypes.c_int, char, char, char, i64, ptr, i64, f64, f64, i64, i64, f64,
+                   ptr, ptr, ptr, i64, ptr]
+    fn.restype = i64
+    return fn
 
 
 def apply_sign_convention(u: np.ndarray, v: np.ndarray):

@@ -119,9 +119,11 @@ def _format_block(v, seps):
     # each value gets a 32-byte row; bytes that are not text are 0 (or, from '%', spaces)
     ax = np.abs(v)
     fixed = (ax == 0) | (ax >= 1e-4) & (ax < 1e17)
-    out = np.zeros((v.size, 4), _U)
-    out[fixed] = _fixed_rows(v[fixed])
-    if not fixed.all():
+    if fixed.all():
+        out = _fixed_rows(v)
+    else:
+        out = np.zeros((v.size, 4), _U)
+        out[fixed] = _fixed_rows(v[fixed])
         rest = tuple(v[~fixed].tolist())   # '%.17g' gives at most 24 bytes: pad them to 32
         text = b"%-24.17g\0\0\0\0\0\0\0\0" * len(rest) % rest
         out[~fixed] = np.frombuffer(text, _U).reshape(-1, 4)

@@ -450,9 +450,20 @@ def test_import_and_solve_load_neither_scipy_nor_the_text_reader():
         "nlrm.tap_solve(a, nlrm.SolverConfig(rank=4, max_iter=5))\n"
         "print(sorted(m for m in ('scipy', 'nlrm.textread') if m in sys.modules))\n"
     )
+    assert run_python(code) == "[]"
+
+
+def test_import_does_not_bind_lapack():
+    # the top-r Gram eigensolve binds dsyevr on first use, not at import
+    code = "import nlrm, nlrm.cli\nprint(nlrm.linalg._lapacke_dsyevr.cache_info().currsize)\n"
+    assert run_python(code) == "0"
+
+
+def run_python(code):
+    """Standard output, stripped, of ``code`` run by a fresh interpreter on this package."""
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()

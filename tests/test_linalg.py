@@ -17,6 +17,7 @@ from nlrm import (
     record_ops,
     thin_svd,
 )
+from nlrm import linalg
 
 
 def naive_matmul(a, b):
@@ -265,14 +266,15 @@ class TestThinSvdSymmetric:
             thin_svd(np.ones((3, 3)), symmetric=True)
 
 
+def planted(m, n, seed):
+    """A uniform rank-10 product plus 0.05 times uniform noise."""
+    return gen_uniform(m, 10, seed) @ gen_uniform(10, n, seed + 1) + 0.05 * gen_uniform(
+        m, n, seed + 2
+    )
+
+
 def gram_cases():
     """Asymmetric, well-conditioned inputs for the Gram route: (matrix, rank)."""
-
-    def planted(m, n, seed):
-        return gen_uniform(m, 10, seed) @ gen_uniform(10, n, seed + 1) + 0.05 * gen_uniform(
-            m, n, seed + 2
-        )
-
     return {
         "wide-40x3000": (planted(40, 3000, 20), 10),
         "tall-3000x40": (planted(3000, 40, 23), 10),
@@ -357,6 +359,100 @@ class TestThinSvdGram:
         monkeypatch.setattr(np.linalg, "eigh", explode)
         with pytest.raises(NumericError, match=r"\(lapack syevd, shape 4x7\)$"):
             thin_svd(gen_uniform(4, 7, 32), rank=2)
+
+
+def top_route_cases():
+    """Asymmetric inputs with ``GRAM_PARTIAL_RATIO * rank <= min(m, n)``: (matrix, rank)."""
+    ties = [1.0] * 30 + list(np.geomspace(0.9, 0.05, 30))      # 30 equal top values
+    return {
+        "wide-200x20000": (planted(200, 20000, 70), 10),
+        "tall-20000x200": (planted(20000, 200, 73), 10),
+        "square-uniform-800": (gen_uniform(800, 800, 76), 40),
+        "30-equal-top-820x800": (planted_spectrum(820, 800, ties, 77), 40),
+    }
+
+
+def old_gram_truncation(a, r):
+    """The Gram route as it ran with one full ``eigh``, step for step."""
+    wide = a.shape[0] <= a.shape[1]
+    g = a @ a.T if wide else a.T @ a
+    lam, q = np.linalg.eigh(g)
+    lam, w = lam[: -r - 1 : -1], q[:, : -r - 1 : -1]
+    s = np.sqrt(lam)
+    other = (a.T @ w if wide else a @ w) / s
+    u, v = linalg.apply_sign_convention(*((w, other) if wide else (other, w)))
+    return [np.ascontiguousarray(x) for x in (u, s, v)]
+
+
+def spy_syevr(monkeypatch):
+    """Ranks that the top-r eigensolve is called with from now on."""
+    real, ranks = linalg._lapacke_dsyevr(), []
+
+    def spied(*args):
+        ranks.append(args[10] - args[9] + 1)      # IU - IL + 1
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_lapacke_dsyevr", lambda: spied)
+    return ranks
+
+
+@pytest.mark.skipif(linalg._lapacke_dsyevr() is None, reason="numpy's LAPACK has no dsyevr")
+class TestThinSvdTopRank:
+    @pytest.mark.parametrize("name", sorted(top_route_cases()))
+    def test_matches_gesdd_truncation(self, name, monkeypatch):
+        a, r = top_route_cases()[name]
+        full = thin_svd(a)
+        want = (full.u[:, :r] * full.s[:r]) @ full.v[:, :r].T
+        explode_on_svd(monkeypatch)
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigh called"))
+        with record_ops() as log:
+            t = thin_svd(a, rank=r)
+        assert log.svd_shapes == [a.shape]
+        assert (t.u.shape, t.s.shape, t.v.shape) == ((a.shape[0], r), (r,), (a.shape[1], r))
+        assert all(x.flags.c_contiguous for x in t)
+        np.testing.assert_allclose(t.s, full.s[:r], rtol=1e-12, atol=0)
+        assert frobenius_norm(t.reconstruct() - want) / frobenius_norm(want) < 1e-12
+        for side in (t.u, t.v):
+            assert np.abs(side.T @ side - np.eye(r)).max() < 1e-12
+        lead = np.argmax(np.abs(t.u), axis=0)
+        assert (t.u[lead, np.arange(r)] > 0).all()
+
+    def test_cutoff(self, monkeypatch):
+        a = gen_uniform(300, 200, 78)
+        ranks = spy_syevr(monkeypatch)
+        thin_svd(a, rank=10)            # 20 * 10 == 200: top r
+        thin_svd(a, rank=11)            # one above the cutoff: full eigh
+        thin_svd(a, rank=5, complement=True)
+        assert linalg.GRAM_PARTIAL_RATIO == 20 and ranks == [10]
+
+    @pytest.mark.parametrize("name", sorted(top_route_cases()))
+    def test_without_the_binding_keeps_the_full_eigh_bits(self, name, monkeypatch):
+        a, r = top_route_cases()[name]
+        monkeypatch.setattr(linalg, "_lapacke_dsyevr", lambda: None)
+        for got, want in zip(thin_svd(a, rank=r), old_gram_truncation(a, r)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_lapack_failure_wrapped(self, monkeypatch):
+        real = linalg._lapacke_dsyevr()     # runs, then reports info = 2
+        monkeypatch.setattr(linalg, "_lapacke_dsyevr", lambda: lambda *args: real(*args) or 2)
+        with pytest.raises(NumericError, match=r"\(lapack syevr, shape 200x300\)$"):
+            thin_svd(gen_uniform(200, 300, 79), rank=10)
+
+    def test_guard_falls_back_to_gesdd(self, monkeypatch):
+        a = planted_spectrum(200, 300, [1.0] * 9 + [5e-4], 80)
+        full = thin_svd(a)
+        ranks = spy_syevr(monkeypatch)
+        with record_ops() as log:
+            t = thin_svd(a, rank=10)
+        assert ranks == [10] and log.svd_shapes == [a.shape]
+        for got, want in zip(t, full):
+            np.testing.assert_array_equal(got, want[..., :10])
+
+
+@pytest.mark.skipif(np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+                    != "scipy-openblas", reason="numpy is not built on scipy-openblas")
+def test_scipy_openblas_numpy_binds_dsyevr():
+    assert linalg._lapacke_dsyevr() is not None
 
 
 class TestFrobeniusNorm:

@@ -537,6 +537,36 @@ class TestBlockWriterAgainstOracle:
         assert_same_bits(read_matrix(ours, fmt), m)
 
 
+def gather_scatter_format_block(v, seps):
+    """``matio._format_block`` as it ran before its all-fixed fast path."""
+    ax = np.abs(v)
+    fixed = (ax == 0) | (ax >= 1e-4) & (ax < 1e17)
+    out = np.zeros((v.size, 4), np.uint64)
+    out[fixed] = matio._fixed_rows(v[fixed])
+    if not fixed.all():
+        rest = tuple(v[~fixed].tolist())
+        out[~fixed] = np.frombuffer(b"%-24.17g\0\0\0\0\0\0\0\0" * len(rest) % rest,
+                                    np.uint64).reshape(-1, 4)
+    out[:, 3] |= seps << np.uint64(56)
+    return out.tobytes().translate(None, b"\0 ")
+
+
+@pytest.mark.parametrize("case", ["all-fixed", "one-exponent", "all-exponent"])
+def test_block_bytes_as_before_whether_or_not_all_are_fixed(case):
+    rng = np.random.default_rng(17)
+    v = fixed_notation_values(rng, 1000)
+    v[:2] = 0.0, -0.0
+    if case == "one-exponent":
+        v[500] = 1e-5
+    elif case == "all-exponent":
+        v = exponent_notation_values(rng, 1000)
+    seps = np.full(v.size, ord(","), np.uint64)
+    seps[99::100] = ord("\n")
+    got = matio._format_block(v, seps)
+    assert got == gather_scatter_format_block(v, seps)
+    assert got == b"".join(b"%.17g%c" % pair for pair in zip(v.tolist(), seps.tolist()))
+
+
 @pytest.mark.parametrize("shift", [-0.75, 0.75])
 def test_exponent_exact_however_log10_rounds(tmp_path, monkeypatch, shift):
     # the writer trusts floor(log10 |x|) to within one; push it off by one for most values

@@ -87,6 +87,12 @@ class TestProjectNonnegative:
         once = project_nonnegative(a)
         assert np.array_equal(project_nonnegative(once), once)
 
+    def test_same_bits_as_the_scalar_clamp(self):
+        a = gen_uniform(50, 40, 8) - 0.5
+        a[::3, ::2], a[1::3, 1::2] = 0.0, -0.0
+        assert np.signbit(a[a == 0]).any() and not np.signbit(a[a == 0]).all()
+        assert project_nonnegative(a).tobytes() == np.maximum(a, 0.0).tobytes()
+
     def test_closest_among_random_nonnegative(self):
         a = gen_uniform(7, 6, 7) - 0.5
         dist = frobenius_norm(a - project_nonnegative(a))
