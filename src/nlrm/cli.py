@@ -164,9 +164,7 @@ def cmd_gen(args) -> int:
         points = matio.read_matrix(args.points)
         matrix = gen_graph_similarity(points)
     matio.write_matrix(matrix, args.out)
-    with open(args.out, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    print(f"{matrix.shape[0]}x{matrix.shape[1]} sha256={digest}")
+    print(f"{matrix.shape[0]}x{matrix.shape[1]} sha256={_sha256(args.out)}")
     return EXIT_OK
 
 
@@ -184,6 +182,15 @@ def cmd_diag(args) -> int:
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _sha256(path) -> str:
+    """The SHA-256 hex digest of a file, read 1 MiB at a time."""
+    digest, buf = hashlib.sha256(), memoryview(bytearray(1 << 20))
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(buf[:n])
+    return digest.hexdigest()
 
 
 def _sibling_csv(path: str) -> str:

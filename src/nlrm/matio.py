@@ -9,20 +9,13 @@ text for blocks of values in numpy: exactly, for the fixed-notation values
 (zeros and 1e-4 <= |x| < 1e17), and through one ``%`` call per block for
 the rest.
 
-The reader parses blocks of the file in numpy too, and gives every value
-the bits Python's ``float`` gives its token.  A token of the form
-``[+-]d*[.d*][(e|E)[+-]d{1,3}]`` with at most 19 significant digits is read
-as an integer ``n`` and a power of ten ``10**q``, and ``n * 10**q`` is
-rounded once from a double-double product accurate to 2**-100.  ``float``
-reads the token instead when that product lies within 2**-30 ulp of a
-rounding boundary (a midpoint, or the quarter-ulp point below a power of
-two), when ``q`` is outside -307..289, and for the rest of its own grammar
-(more digits, longer exponents).  A file holding any other token (spaces
-around a value, ``1_0``, non-ASCII digits, a bad token) or a ragged row is
-read by ``np.loadtxt``; when numpy rejects it too, a per-token pass with
-``float`` either names the offending line or reads the rare token only
-``float`` accepts.  An input that cannot seek, such as a pipe, is read into
-memory once, so every route can reread it.
+The reader parses blocks of the file in numpy too (``nlrm.textread``) and
+gives every value the bits Python's ``float`` gives its token.  A file that
+holds any other token (spaces around a value, ``1_0``, non-ASCII digits, a
+bad token) or a ragged row is read again by one line pass for both formats,
+in which numpy calls ``float`` on each token and the line of the first bad
+one is named.  An input that cannot seek, such as a pipe, is read into
+memory once, so both routes can read it.
 
 Result files are JSON with a versioned schema.  An output that replaces an
 existing regular file of the user's own is unlinked and created anew rather
@@ -35,7 +28,6 @@ import json
 import math
 import os
 import stat
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -211,14 +203,23 @@ def read_matrix(path, format: str | None = None) -> np.ndarray:
 
     ``format`` defaults to ``format_for_path(path)``; an explicit one wins.
     """
+    from . import textread          # on first use: see its docstring
+
     format = format_for_path(path) if format is None else format
-    reader = {CSV: _read_csv, MATRIX_MARKET: _read_matrix_market}.get(format)
-    if reader is None:
+    if format not in _FORMATS:
         raise ParseError(f"unknown format {format!r}; expected one of {_FORMATS}")
     try:
-        return reader(path)
+        with _open_binary(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
+            lineno, shape = (0, None) if format == CSV else _read_header(fh, path)
+            start = fh.tell()
+            values = (textread.read_blocks(raw, csv=True) if shape is None
+                      else textread.read_body(raw, lineno, shape[0] * shape[1]))
+            if values is None:
+                fh.seek(start)
+                values = _read_lines(fh, path, lineno, shape)
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not a UTF-8 text file") from None
+    return values if shape is None else values.reshape(shape[::-1]).T     # column-major
 
 
 def format_for_path(path) -> str:
@@ -236,112 +237,101 @@ def _open_binary(path):
         return io.BytesIO(raw.read())
 
 
-def _read_csv(path):
-    from . import textread          # on first use: see its docstring
+def _read_header(fh, path):
+    """The MatrixMarket header at the start of ``fh``: its number of lines and ``(rows, cols)``."""
+    first = fh.readline()
+    if not first:
+        raise ParseError(f"{path}: empty file")
+    banner = first.split()
+    if len(banner) != 5 or banner[0] != "%%MatrixMarket":
+        raise ParseError(f"{path}: line 1: not a MatrixMarket header")
+    obj, fmt, field, symmetry = (tok.lower() for tok in banner[1:])
+    if obj != "matrix":
+        raise ParseError(f"{path}: line 1: unsupported object {obj!r}")
+    if fmt != "array":
+        raise ParseError(f"{path}: line 1: only dense 'array' format is supported, got {fmt!r}")
+    if field != "real":
+        raise ParseError(f"{path}: line 1: unsupported field {field!r}")
+    if symmetry != "general":
+        raise ParseError(f"{path}: line 1: unsupported symmetry {symmetry!r}")
+    # skip "%" comment lines; the first other line is the size line
+    for lineno, size_line in enumerate(iter(fh.readline, ""), start=2):
+        if not size_line.lstrip().startswith("%"):
+            break
+    else:
+        raise ParseError(f"{path}: missing size line")
+    size_tokens = size_line.split()
+    if len(size_tokens) != 2:
+        raise ParseError(
+            f"{path}: line {lineno}: size line must be 'rows cols', got {size_line!r}"
+        )
+    try:
+        rows, cols = int(size_tokens[0]), int(size_tokens[1])
+    except ValueError:
+        raise ParseError(f"{path}: line {lineno}: non-integer size entry") from None
+    if rows < 1 or cols < 1:
+        raise ParseError(f"{path}: line {lineno}: dimensions must be positive")
+    return lineno, (rows, cols)
 
-    with _open_binary(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
-        values = textread.read_blocks(raw, csv=True)
-        if values is not None:
-            return values
-        raw.seek(0)
-        values = _loadtxt(fh, ",")
-        if values is not None:
-            return values
-        fh.seek(0)
-        rows = []
-        width = None
-        for lineno, line in enumerate(fh, start=1):
+
+def _read_lines(fh, path, lineno, shape):
+    """The values on the lines of text file ``fh`` after line ``lineno``.
+
+    CSV (``shape`` None) skips blank lines and gives ``(rows, width)``;
+    MatrixMarket splits at whitespace and gives ``rows * cols`` values.  A
+    batch of lines that numpy's ``float`` calls reject, or a ragged one, is
+    read again by ``_walk``, which raises the first error in line order.
+    """
+    chunks, width = [], None
+    while batch := fh.readlines(16 * _BLOCK):   # whole lines, about 8192 tokens of '%.17g'
+        values = None
+        if shape is not None:
+            values = _floats("".join(batch).split())
+        else:
+            rows = [line for line in map(str.strip, batch) if line]
+            width = width or (rows[0].count(",") + 1 if rows else None)
+            if all(row.count(",") == width - 1 for row in rows):
+                values = _floats(",".join(rows).split(","))
+        if values is None:
+            values = _walk(batch, path, lineno, shape, width)
+        chunks.append(values)
+        lineno += len(batch)
+    values = np.concatenate(chunks) if chunks else np.empty(0)
+    if shape is None:
+        if width is None:
+            raise ParseError(f"{path}: no data rows")
+        return values.reshape(-1, width)
+    if values.size != shape[0] * shape[1]:
+        raise ParseError(f"{path}: expected {shape[0] * shape[1]} values, found {values.size}")
+    return values
+
+
+def _floats(tokens):
+    """``tokens`` as float64 by ``float``, or None if one is not a finite number."""
+    try:
+        values = np.array(tokens, dtype=np.float64)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _walk(batch, path, lineno, shape, width):
+    """``_read_lines`` on ``batch`` one line at a time, raising the first error's message."""
+    values = []
+    for lineno, line in enumerate(batch, start=lineno + 1):
+        if shape is None:
             line = line.strip()
             if not line:
                 continue
             fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
+            if len(fields) != width:
                 raise ParseError(
                     f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
                 )
-            rows.append([_parse_value(tok, path, lineno) for tok in fields])
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64)
-
-
-def _read_matrix_market(path):
-    from . import textread
-
-    with _open_binary(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise ParseError(f"{path}: empty file")
-        banner = first.split()
-        if len(banner) != 5 or banner[0] != "%%MatrixMarket":
-            raise ParseError(f"{path}: line 1: not a MatrixMarket header")
-        obj, fmt, field, symmetry = (tok.lower() for tok in banner[1:])
-        if obj != "matrix":
-            raise ParseError(f"{path}: line 1: unsupported object {obj!r}")
-        if fmt != "array":
-            raise ParseError(
-                f"{path}: line 1: only dense 'array' format is supported, got {fmt!r}"
-            )
-        if field != "real":
-            raise ParseError(f"{path}: line 1: unsupported field {field!r}")
-        if symmetry != "general":
-            raise ParseError(f"{path}: line 1: unsupported symmetry {symmetry!r}")
-
-        # skip "%" comment lines; the first other line is the size line
-        for lineno, size_line in enumerate(iter(fh.readline, ""), start=2):
-            if not size_line.lstrip().startswith("%"):
-                break
         else:
-            raise ParseError(f"{path}: missing size line")
-        size_tokens = size_line.split()
-        if len(size_tokens) != 2:
-            raise ParseError(
-                f"{path}: line {lineno}: size line must be 'rows cols', got {size_line!r}"
-            )
-        try:
-            rows, cols = int(size_tokens[0]), int(size_tokens[1])
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: non-integer size entry") from None
-        if rows < 1 or cols < 1:
-            raise ParseError(f"{path}: line {lineno}: dimensions must be positive")
-
-        start = fh.tell()
-        values = textread.read_body(raw, lineno, rows * cols)
-        if values is None:
-            fh.seek(start)
-            values = _loadtxt(fh, None)
-        if values is None or values.size != rows * cols:
-            # a bad token is reported before a wrong count, with its line number
-            fh.seek(start)
-            values = []
-            for lineno, text in enumerate(fh.read().split("\n"), start=lineno + 1):
-                for tok in text.split():
-                    values.append(_parse_value(tok, path, lineno))
-            if len(values) != rows * cols:
-                raise ParseError(
-                    f"{path}: expected {rows * cols} values, found {len(values)}"
-                )
-            values = np.array(values, dtype=np.float64)
-    return values.reshape(cols, rows).T
-
-
-def _loadtxt(fh, delimiter):
-    """The rest of ``fh`` as a 2-D float64 array, or None if numpy rejects it.
-
-    numpy reads the tokens Python's ``float`` reads, to the same bits, except
-    ``1_0`` and non-ASCII digits.  None also stands for no data and for a
-    non-finite value; callers then rerun ``_parse_value`` per token, which
-    raises its line-numbered message or reads those rare tokens.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)    # "input contained no data"
-            values = np.loadtxt(fh, delimiter=delimiter, comments=None, ndmin=2)
-    except ValueError:      # also UnicodeDecodeError; the per-token pass raises it again
-        return None
-    return values if values.size and np.isfinite(values).all() else None
+            fields = line.split()
+        values += [_parse_value(tok, path, lineno) for tok in fields]
+    return np.array(values, dtype=np.float64)
 
 
 def _parse_value(token, path, lineno):
@@ -349,7 +339,7 @@ def _parse_value(token, path, lineno):
         value = float(token)
     except ValueError:
         raise ParseError(f"{path}: line {lineno}: non-numeric token {token!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"{path}: line {lineno}: non-finite value {token!r}")
     return value
 

@@ -9,7 +9,7 @@ words by Lemire's eight-digit SWAR, and a decimal exponent ``q``; then
 rounding is unsure, and for the other tokens of ``float``'s grammar, the
 value is ``float(token)``.  Any other token, a ragged CSV row or a wrong
 MatrixMarket count makes the readers return None, and ``matio`` then reads
-the file by its slower route, so every error keeps its line-numbered
+the file by its line pass, which gives every error its line-numbered
 message.
 
 ``matio`` imports this module on its first read, so a process that reads
@@ -26,16 +26,18 @@ import numpy as np
 from .matio import _split
 
 _EOL = re.compile(rb"\r\n|\r|\n")     # the line ends of text mode's universal newlines
-_HEAD = 1 << 13                 # longer MatrixMarket headers take the slower route
+_HEAD = 1 << 13                 # bytes first searched for a MatrixMarket header's line ends
 
 
 def read_body(raw, lines, count):
     """The ``count`` values after the first ``lines`` lines of binary file ``raw``, or None."""
     raw.seek(0)
     head = raw.read(_HEAD)
-    ends = [match.end() for match in itertools.islice(_EOL.finditer(head), lines)]
-    if len(ends) < lines:
-        return None
+    # search the whole buffer each time, so a "\r\n" split between reads is one line end
+    while len(ends := [m.end() for m in itertools.islice(_EOL.finditer(head), lines)]) < lines:
+        if not (more := raw.read(len(head))):      # twice the buffer, or the file ends
+            return None
+        head += more
     raw.seek(ends[-1])
     values = read_blocks(raw, csv=False, count=count)
     return None if values is None or values.size != count else values

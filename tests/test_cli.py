@@ -1,10 +1,12 @@
 """Command-line surface: flows, exit codes, determinism, thin-shell parity."""
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -166,6 +168,25 @@ class TestGen:
             lines.append(capsys.readouterr().out.strip())
         assert lines[0] == lines[1]
         assert "sha256=" in lines[0]
+
+    def test_printed_digest_is_the_files(self, tmp_path, capsys):
+        out = tmp_path / "u.mtx"
+        rc = main(["gen", "--family", "uniform", "--m", "30", "--n", "20", "--out", str(out)])
+        assert rc == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert capsys.readouterr().out == f"30x20 sha256={digest}\n"
+
+    def test_hash_memory_is_bounded(self, tmp_path):
+        path = tmp_path / "big"
+        path.write_bytes(np.random.default_rng(0).bytes(16 * 2**20 + 123))
+        tracemalloc.start()
+        try:
+            digest = cli._sha256(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert peak < 2 * 2**20         # reading the whole file would take 16 MB
 
     def test_output_file_closed_after_hashing(self, tmp_path):
         with warnings.catch_warnings(record=True) as caught:

@@ -1,7 +1,6 @@
 """File round-trips and parse-error reporting for matrix and trace I/O."""
 
 import json
-import locale
 import math
 import os
 import stat
@@ -14,7 +13,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nlrm import ParseError, ShapeError, gen_uniform, read_matrix, write_matrix
+from nlrm import (
+    ParseError,
+    ShapeError,
+    gen_graph_similarity,
+    gen_uniform,
+    read_matrix,
+    write_matrix,
+)
 from nlrm import matio, textread
 from nlrm.cli import main
 from nlrm.matio import _BLOCK, format_for_path, read_trace, write_json
@@ -296,7 +302,7 @@ def oracle_write_csv(m, path):
 def oracle_read_csv(path):
     rows = []
     width = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -325,7 +331,7 @@ def oracle_write_matrix_market(m, path):
 
 
 def oracle_read_matrix_market(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     if not lines:
         raise ParseError(f"{path}: empty file")
@@ -796,10 +802,6 @@ def read_outcome(read, path):
     return m.shape, m.strides, m.tobytes()
 
 
-@pytest.mark.skipif(
-    locale.getpreferredencoding(False).lower() not in ("utf-8", "utf8"),
-    reason="the oracles decode with the locale's encoding; the files are UTF-8",
-)
 @pytest.mark.parametrize("fmt, make_text", [
     ("csv", random_csv_text),
     ("matrix_market_dense", random_matrix_market_text),
@@ -822,7 +824,7 @@ def test_reader_matches_oracle_on_generated_files(tmp_path, fmt, make_text):
 
 # The block reader against Python's float(), token by token.  Small reads make
 # rows and tokens cross block ends; a reader that sends the file on to
-# np.loadtxt fails these tests, so every value comes from the block reader or
+# the line pass fails these tests, so every value comes from the block reader or
 # from its own float() calls.
 
 def near_midpoint(x, digits):
@@ -902,7 +904,7 @@ def hard_cases(max_rel=2.0**-110):
 
 
 def no_loadtxt(*args):
-    raise AssertionError("the block reader gave the file to np.loadtxt")
+    raise AssertionError("the block reader gave the file to the line pass")
 
 
 @pytest.mark.parametrize("fmt", sorted(ORACLES))
@@ -912,7 +914,7 @@ class TestBlockReaderAgainstFloat:
         want = write_tokens(tmp_path / "m", READER_TOKENS, fmt)
         monkeypatch.setattr(textread, "_READ_MIN", read_size)
         monkeypatch.setattr(textread, "_READ_MAX", read_size)
-        monkeypatch.setattr(matio, "_loadtxt", no_loadtxt)
+        monkeypatch.setattr(matio, "_read_lines", no_loadtxt)
         got = read_matrix(tmp_path / "m", fmt)
         assert_same_bits(got, want)
         assert got.strides == want.strides
@@ -923,7 +925,7 @@ class TestBlockReaderAgainstFloat:
         want = write_tokens(tmp_path / "m", tokens, fmt, width=4)
         monkeypatch.setattr(textread, "_READ_MIN", 64)     # few tokens a block: all go to float()
         monkeypatch.setattr(textread, "_READ_MAX", 64)
-        monkeypatch.setattr(matio, "_loadtxt", no_loadtxt)
+        monkeypatch.setattr(matio, "_read_lines", no_loadtxt)
         assert_same_bits(read_matrix(tmp_path / "m", fmt), want)
 
     def test_unsure_values_come_from_float(self, tmp_path, monkeypatch, fmt):
@@ -939,7 +941,7 @@ class TestBlockReaderAgainstFloat:
         monkeypatch.setattr(textread, "_scale", every_third_unsure)
         monkeypatch.setattr(textread, "_READ_MIN", 64)
         monkeypatch.setattr(textread, "_READ_MAX", 64)
-        monkeypatch.setattr(matio, "_loadtxt", no_loadtxt)
+        monkeypatch.setattr(matio, "_read_lines", no_loadtxt)
         assert_same_bits(read_matrix(tmp_path / "m", fmt), want)
 
     def test_all_unsure_sends_the_file_to_loadtxt(self, tmp_path, monkeypatch, fmt):
@@ -965,10 +967,6 @@ def test_control_bytes_in_a_matrix_market_body(tmp_path, body):
         read_outcome(oracle_read_matrix_market, path)
 
 
-@pytest.mark.skipif(
-    locale.getpreferredencoding(False).lower() not in ("utf-8", "utf8"),
-    reason="the oracles decode with the locale's encoding; the files are UTF-8",
-)
 @pytest.mark.parametrize("fmt, make_text", [
     ("csv", random_csv_text),
     ("matrix_market_dense", random_matrix_market_text),
@@ -1040,3 +1038,105 @@ def test_matrix_market_pipe_read(tmp_path):
 def test_bad_pipe_names_its_line(tmp_path, fmt, data, message):
     with pytest.raises(ParseError, match=f"pipe: {message}$"):
         read_through_pipe(tmp_path, data, fmt)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("fmt, name", [("csv", name) for name in sorted(CSV_ERRORS)]
+                         + [("matrix_market_dense", name) for name in sorted(MM_ERRORS)])
+def test_every_bad_pipe_reads_as_its_file(tmp_path, fmt, name):
+    data = (CSV_ERRORS if fmt == "csv" else MM_ERRORS)[name].encode()
+    path = tmp_path / "bad"
+    path.write_bytes(data)
+    want = oracle_message(lambda p: read_matrix(p, fmt), path)
+    with pytest.raises(ParseError) as info:
+        read_through_pipe(tmp_path, data, fmt)
+    assert str(info.value) == want.replace(str(path), str(tmp_path / "pipe"))
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("cut", [0, 1])
+def test_long_matrix_market_header_keeps_the_block_route(tmp_path, monkeypatch, eol, cut):
+    m = gen_uniform(30, 20, 12)
+    write_matrix(m, tmp_path / "m.mtx")
+    banner, body = (tmp_path / "m.mtx").read_bytes().split(b"\n", 1)
+    eol = eol.encode()
+    comment = b"%" + b"c" * (81 - len(eol)) + eol
+    head = banner + eol + comment * ((textread._HEAD - len(banner)) // len(comment) - 1)
+    # a line whose end starts at byte _HEAD - 2 + cut: with cut 1 and CRLF ends,
+    # the "\r\n" straddles the end of the first read
+    head += b"%" + b"c" * (textread._HEAD - 3 + cut - len(head)) + eol
+    path = tmp_path / "long.mtx"
+    path.write_bytes(head + comment * 150 + body)      # about 20 KB of header
+    monkeypatch.setattr(matio, "_read_lines", no_loadtxt)
+    assert_same_bits(read_matrix(path), m)
+
+
+def spy_block_route(monkeypatch):
+    """What the block reader returns, call by call, as ``read_matrix`` runs."""
+    returned = []
+    for name in ("read_blocks", "read_body"):
+        def spy(*args, real=getattr(textread, name), **kwargs):
+            returned.append(real(*args, **kwargs))
+            return returned[-1]
+        monkeypatch.setattr(textread, name, spy)
+    return returned
+
+
+def line_pass_text(rng, kind):
+    """Tokens that the block reader gives to the line pass, a file of them and its shape."""
+    if kind == "comma_space_csv":
+        tokens = ["%.17g" % x for x in rng.random(800 * 800).tolist()]
+        lines = [", ".join(tokens[i:i + 800]) for i in range(0, len(tokens), 800)]
+        return tokens, lines, (800, 800)
+    if kind == "long_digits_mtx":       # a 4th of the tokens have 20-25 digits
+        digits = rng.integers(20, 26, 60 * 40)
+        tokens = [f"{x:.{d - 1}e}" if i % 4 == 0 else repr(x)
+                  for i, (x, d) in enumerate(zip(rng.standard_normal(60 * 40).tolist(), digits))]
+        return tokens, [MM_HEADER.strip(), "60 40", *tokens], (60, 40)
+    odd = ["1_0", "\u0663", "\xa01.5\xa0", "-2_5e-1_0", "\xa0\u0661\u0662"]   # float() reads these
+    tokens = [odd[i % 5] if i % 3 == 0 else repr(x) for i, x in enumerate(rng.random(900).tolist())]
+    return tokens, [",".join(tokens[i:i + 30]) for i in range(0, len(tokens), 30)], (30, 30)
+
+
+@pytest.mark.parametrize("kind, fmt", [("comma_space_csv", "csv"),
+                                       ("long_digits_mtx", "matrix_market_dense"),
+                                       ("odd_tokens_csv", "csv")])
+def test_line_pass_reads_floats_bits(tmp_path, monkeypatch, kind, fmt):
+    tokens, lines, shape = line_pass_text(np.random.default_rng(2027), kind)
+    path = tmp_path / "m"
+    path.write_bytes("\n".join(lines).encode() + b"\n")
+    returned = spy_block_route(monkeypatch)
+    got = read_matrix(path, fmt)
+    assert returned and returned[-1] is None      # the line pass read the file
+    assert_same_bits(got, in_write_order(np.array([float(t) for t in tokens]), shape, fmt))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["a.csv", "g.mtx"])
+def test_benchmark_inputs_take_the_block_route(tmp_path, monkeypatch, seed, name):
+    # the input files of the approx-csv-800 and approx-mtx-highrank-300 workloads
+    if name == "a.csv":
+        m = gen_uniform(800, 800, seed)
+    else:
+        m = gen_graph_similarity(gen_uniform(300, 2, seed))
+    write_matrix(m, tmp_path / name)
+    monkeypatch.setattr(matio, "_read_lines", no_loadtxt)
+    assert_same_bits(read_matrix(tmp_path / name), m)
+
+
+@pytest.mark.parametrize("fmt, make_text", [
+    ("csv", random_csv_text),
+    ("matrix_market_dense", random_matrix_market_text),
+])
+def test_line_pass_batches_match_oracle_on_generated_files(tmp_path, monkeypatch, fmt, make_text):
+    # batches of one or two lines: errors, blank lines and ragged rows in any batch
+    monkeypatch.setattr(matio, "_BLOCK", 1)
+    rng = np.random.default_rng(2028)
+    mismatches = []
+    for case in range(300):
+        text = make_text(rng)
+        path = tmp_path / f"m{case}"
+        path.write_bytes(text.encode())
+        if read_outcome(lambda p: read_matrix(p, fmt), path) != read_outcome(ORACLES[fmt][0], path):
+            mismatches.append(text)
+    assert mismatches == []
