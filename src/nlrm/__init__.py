@@ -6,11 +6,11 @@ nonnegative orthant.  The tangent-space variant (``tap_solve``) reaches
 the same accuracy as the direct method (``ap_solve``) while replacing the
 per-iteration full SVD with two thin QRs and a 2r x 2r SVD, as long as
 2r <= min(m, n); above that rank each step runs a full SVD.  Each
-full-size truncation picks its route from the input: one ``eigh`` of an
-exactly symmetric input, one ``eigh`` of the smaller Gram matrix of a
-well-conditioned other input, ``gesdd`` otherwise.  NMF baselines,
-dataset generators, matrix I/O and a benchmark harness are included; see
-the ``nlrm`` command-line tool.
+full-size truncation picks its route from the input: one ``eigh`` of the
+smaller Gram matrix of a well-conditioned input, ``gesdd`` otherwise, or
+one ``eigh`` of an exactly symmetric input where the top-r Gram route
+cannot run.  NMF baselines, dataset generators, matrix I/O and a
+benchmark harness are included; see the ``nlrm`` command-line tool.
 """
 
 from .bench import BenchCell, BenchReport, run_bench, table1_grid

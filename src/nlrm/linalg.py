@@ -8,8 +8,9 @@ left to whatever the backend produced.
 Conventions:
 
 * QR: thin factorization with a nonnegative diagonal of R (signs absorbed
-  into Q).  A zero input yields R = 0 and Q equal to the leading columns
-  of the identity.
+  into Q), by CholeskyQR2 where the input is well conditioned, else by
+  Householder reflections.  A zero input yields R = 0 and Q equal to the
+  leading columns of the identity.
 * SVD: thin factorization, singular values nonincreasing, and each left
   singular vector's largest-magnitude entry made positive (the matching
   right vector is flipped with it).  Exactly equal singular values keep
@@ -100,22 +101,49 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def householder_qr(a: np.ndarray) -> QrFactors:
-    """Thin QR of a tall (or square) matrix via Householder reflections.
+    """Thin QR of a tall (or square) matrix: CholeskyQR2, else Householder.
 
-    The diagonal of R is made nonnegative by flipping column signs of Q,
+    CholeskyQR2 runs two rounds of ``R_i = chol(Q'Q)'``, ``Q <- Q R_i^-1``
+    from ``Q = A`` and returns ``R = R_2 R_1``: products of ``Q`` with n x n
+    matrices in place of Householder's column sweeps, about 3x faster at
+    1000 x 20 (ROADMAP.md, Findings).  Where a Cholesky fails, or ``Q`` is
+    not finite or has ``max|Q'Q - I| > 1e-12`` (ill-conditioned or
+    rank-deficient inputs), Householder reflections (``numpy.linalg.qr``)
+    run instead.  The diagonal of R is nonnegative on both routes (a
+    Cholesky factor's is positive; Householder's signs are flipped into Q),
     so the factorization is a deterministic function of the input.  Rank
-    deficiency is accepted; the all-zero input returns identity columns
-    for Q by convention.
+    deficiency is accepted; the all-zero input returns identity columns for
+    Q by convention.  The routes agree to rounding, not bit for bit.
     """
     m, n = _require_2d(a, "householder_qr input")
     if m < n:
         raise ShapeError(f"householder_qr needs rows >= cols, got {m}x{n}")
     if not a.any():
         return QrFactors(np.eye(m, n), np.zeros((n, n)))
+    factors = _cholesky_qr2(a)
+    if factors is not None:
+        return factors
     q, r = np.linalg.qr(a, mode="reduced")
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     q = q * signs
     r = np.triu(r * signs[:, None])
+    return QrFactors(q, r)
+
+
+def _cholesky_qr2(a: np.ndarray) -> Optional[QrFactors]:
+    """CholeskyQR2 factors of ``a``, or None where a Cholesky fails or ``Q`` is
+    not finite or not orthonormal to 1e-12 per entry of ``Q'Q``."""
+    n = a.shape[1]
+    q, r = a, np.eye(n)
+    try:
+        for _ in range(2):
+            ri = np.linalg.cholesky(q.T @ q).T
+            q = q @ np.linalg.inv(ri)    # numpy has no triangular solve; ri is n x n
+            r = ri @ r
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(q).all() or np.abs(q.T @ q - np.eye(n)).max() > 1e-12:
+        return None
     return QrFactors(q, r)
 
 

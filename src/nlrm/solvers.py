@@ -8,13 +8,16 @@ iterate first and retracts through a 2r x 2r core, so when 2r <= min(m, n)
 the only full-size SVD is the initialization (above that rank each step
 falls back to a dense tangent projection, through the complement basis
 that the previous truncation returned, and a full SVD).  Both then clamp
-at zero.  Every full-size
-truncation is one ``eigh`` instead of an SVD: of the truncated matrix
-itself when the input is exactly symmetric, else of its smaller Gram
-matrix, unless that would lose accuracy and ``gesdd`` runs (see
-:func:`nlrm.linalg.thin_svd`).  NMF baselines (multiplicative updates and
-HALS) and the empirical contraction-rate estimator round out the
-comparison tooling; ``solve`` runs any solver by name.
+at zero.  Every full-size truncation is one ``eigh`` instead of an SVD:
+of its smaller Gram matrix, top r eigenpairs alone where
+``GRAM_PARTIAL_RATIO * r <= min(m, n)``, unless that would lose accuracy
+and ``gesdd`` runs (see :func:`nlrm.linalg.thin_svd`).  An exactly
+symmetric input is instead truncated by one ``eigh`` of the matrix itself
+where that top-r route cannot run: above that rank, or in TAP's dense
+fallback, which needs the complement basis.  NMF baselines
+(multiplicative updates and HALS) and the empirical contraction-rate
+estimator round out the comparison tooling; ``solve`` runs any solver by
+name.
 """
 
 import math
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import instrument
 from .errors import DomainError, InsufficientDataError, NumericError
-from .linalg import SvdTriplet, as_matrix, frobenius_norm, matmul
+from .linalg import GRAM_PARTIAL_RATIO, SvdTriplet, as_matrix, frobenius_norm, matmul
 from .projections import (
     TangentFrame,
     project_fixed_rank,
@@ -197,9 +200,10 @@ def ap_solve(
     """Alternating projections with a full truncated SVD every iteration.
 
     Iterates ``X <- best_rank_r(Y)``, ``Y <- clamp(X)`` from ``X = best
-    rank r of A``.  Each truncation is one ``eigh``: of the iterate when
-    ``a`` is exactly symmetric, else of its Gram matrix where that is
-    accurate, else ``gesdd``.  ``on_iterate(k, x_dense, y)``, when given, is called
+    rank r of A``.  Each truncation is one ``eigh`` of the iterate's Gram
+    matrix where that is accurate, else ``gesdd``; where ``a`` is exactly
+    symmetric and ``GRAM_PARTIAL_RATIO * r > n``, it is one ``eigh`` of the
+    iterate itself.  ``on_iterate(k, x_dense, y)``, when given, is called
     after every iteration (used by tests to inspect iterates).
     """
     return _project_solve(a, cfg, use_tangent=False, on_iterate=on_iterate)
@@ -223,9 +227,10 @@ def tap_solve(
     4 (m - r) n (m + r) flops against 8 r m n + 2 r^2 (m + n) for the
     reference formula of :func:`nlrm.projections.tangent_project_dense`.
     The initial and the fallback truncations each run one ``eigh`` in place
-    of that SVD: of the matrix itself when ``a`` is square and exactly
-    equal to ``a.T``, else of its Gram matrix, unless ``gesdd`` is needed
-    for accuracy (:func:`nlrm.linalg.thin_svd`).
+    of that SVD: of the Gram matrix, unless ``gesdd`` is needed for
+    accuracy (:func:`nlrm.linalg.thin_svd`), or of the matrix itself when
+    ``a`` is square, exactly equal to ``a.T`` and ``GRAM_PARTIAL_RATIO * r
+    > n``, as in every dense-fallback run of such an input.
     """
     return _project_solve(a, cfg, use_tangent=True, on_iterate=on_iterate)
 
@@ -247,17 +252,20 @@ def _project_solve(a, cfg, use_tangent, on_iterate):
     def step(a, k):
         nonlocal x, y, sym, fallback
         if k == 1:
-            # An exactly symmetric input sends every full-size truncation
-            # through eigh.  Later truncation inputs are symmetric only up to
-            # rounding; eigh reads one triangle, which truncates its symmetric
-            # completion.  The first row against the first column rejects most
-            # other inputs in O(n).
             m, n = a.shape
-            sym = m == n and np.array_equal(a[0], a[:, 0]) and np.array_equal(a, a.T)
             # Where 2r > min(m, n), [U Q] cannot have 2r orthonormal columns:
             # TAP evaluates the same operator densely, through the complement
             # basis that each of its truncations then also returns.
             fallback = use_tangent and 2 * r > min(m, n)
+            # An exactly symmetric input sends every full-size truncation
+            # through eigh where the top-r Gram route cannot run: r is too
+            # large a share of n for dsyevr, which covers the dense fallback
+            # and its complement.  Later truncation inputs are symmetric only
+            # up to rounding; eigh reads one triangle, which truncates its
+            # symmetric completion.  The first row against the first column
+            # rejects most other inputs in O(n).
+            sym = (GRAM_PARTIAL_RATIO * r > min(m, n) and m == n
+                   and np.array_equal(a[0], a[:, 0]) and np.array_equal(a, a.T))
             truncate(a)
         elif not use_tangent:
             truncate(y)

@@ -133,6 +133,87 @@ class TestHouseholderQr:
             householder_qr(np.ones(3))
 
 
+def spy_numpy_qr(monkeypatch):
+    """Shapes of the ``numpy.linalg.qr`` calls, which only the Householder route makes."""
+    calls = []
+    real_qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+def conditioned(m, n, kappa, seed):
+    """An m x n input with singular values spread evenly in log from 1 to 1 / kappa."""
+    return planted_spectrum(m, n, np.logspace(0.0, -np.log10(kappa), n), seed)
+
+
+class TestCholeskyQr2:
+    """Well-conditioned inputs take CholeskyQR2; the rest reach Householder once."""
+
+    WELL_CONDITIONED = {
+        "uniform-1000x20": lambda: gen_uniform(1000, 20, 60),
+        "uniform-800x40": lambda: gen_uniform(800, 40, 61) - 0.5,
+        "uniform-20000x10": lambda: gen_uniform(20000, 10, 62),
+        "kappa-1e6": lambda: conditioned(300, 12, 1e6, 63),
+    }
+    HOUSEHOLDER = {
+        "kappa-1e10": lambda: conditioned(300, 12, 1e10, 64),
+        "kappa-1e13": lambda: conditioned(300, 12, 1e13, 65),
+        "rank-deficient": lambda: np.hstack([gen_uniform(10, 2, 7)] * 2),
+        "nan": lambda: np.where(np.arange(40).reshape(10, 4) == 13, np.nan,
+                                gen_uniform(10, 4, 66)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WELL_CONDITIONED))
+    def test_well_conditioned_inputs_take_the_cholesky_route(self, monkeypatch, name):
+        a = self.WELL_CONDITIONED[name]()
+        calls = spy_numpy_qr(monkeypatch)
+        q, r = householder_qr(a)
+        assert calls == []
+        n = a.shape[1]
+        assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-12
+        assert frobenius_norm(q @ r - a) / frobenius_norm(a) <= 1e-13
+        assert np.array_equal(np.tril(r, -1), np.zeros((n, n)))
+        assert (np.diag(r) > 0).all()
+
+    @pytest.mark.parametrize("name", sorted(HOUSEHOLDER))
+    def test_other_inputs_reach_householder_once(self, monkeypatch, name):
+        a = self.HOUSEHOLDER[name]()
+        calls = spy_numpy_qr(monkeypatch)
+        q, r = householder_qr(a)
+        assert calls == [a.shape]
+        if np.isfinite(a).all():
+            assert frobenius_norm(q @ r - a) / frobenius_norm(a) < 1e-12
+            assert (np.diag(r) >= 0).all()
+
+    def test_orthogonality_check_rejects_what_both_choleskys_pass(self, monkeypatch):
+        a = conditioned(200, 8, 1e11, 101)
+        factored = []
+        real_cholesky = np.linalg.cholesky
+
+        def counted(g, *args, **kwargs):
+            out = real_cholesky(g, *args, **kwargs)
+            factored.append(g.shape)
+            return out
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        calls = spy_numpy_qr(monkeypatch)
+        q, r = householder_qr(a)
+        assert factored == [(8, 8)] * 2 and calls == [a.shape]
+        assert np.abs(q.T @ q - np.eye(8)).max() <= 1e-12
+
+    def test_zero_input_keeps_identity_columns(self, monkeypatch):
+        calls = spy_numpy_qr(monkeypatch)
+        q, r = householder_qr(np.zeros((7, 3)))
+        assert calls == []
+        np.testing.assert_array_equal(q, np.eye(7, 3))
+        np.testing.assert_array_equal(r, np.zeros((3, 3)))
+
+
 class TestThinSvd:
     def test_diagonal(self):
         t = thin_svd(np.diag([3.0, 2.0, 1.0]))

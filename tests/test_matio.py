@@ -656,6 +656,8 @@ CSV_ERRORS = {
     "too_wide_row": "1,2\n3,4,5\n5,6\n",
     "empty_field": "1,2\n3,\n5,6\n",
     "bad_token_before_ragged_row": "1,2\n3,x\n5\n",
+    "bad_token_last_line": "1,2\n3,x\n",
+    "ragged_last_row": "1,2\n3\n",
     "second_bad_token_on_line": "1,2\n3,4\n5,6,\n",
     "empty_file": "",
     "blank_lines_only": "\n \n",
@@ -668,6 +670,7 @@ MM_ERRORS = {
     "unsupported_object": "%%MatrixMarket vector array real general\n1 1\n1\n",
     "unsupported_symmetry": "%%MatrixMarket matrix array real symmetric\n1 1\n1\n",
     "bad_token_middle_line": MM_HEADER + "2 2\n1\noops\n3\n4\n",
+    "bad_token_last_line": MM_HEADER + "2 1\n1\nx\n",
     "nan": MM_HEADER + "2 2\n1\n2\nnan\n4\n",
     "inf": MM_HEADER + "2 2\n1\ninf\n3\n4\n",
     "overflow": MM_HEADER + "2 2\n1\n2\n1e400\n4\n",
@@ -903,7 +906,7 @@ def hard_cases(max_rel=2.0**-110):
     return tokens
 
 
-def no_loadtxt(*args):
+def no_line_pass(*args):
     raise AssertionError("the block reader gave the file to the line pass")
 
 
@@ -914,7 +917,7 @@ class TestBlockReaderAgainstFloat:
         want = write_tokens(tmp_path / "m", READER_TOKENS, fmt)
         monkeypatch.setattr(textread, "_READ_MIN", read_size)
         monkeypatch.setattr(textread, "_READ_MAX", read_size)
-        monkeypatch.setattr(matio, "_read_lines", no_loadtxt)
+        monkeypatch.setattr(matio, "_read_lines", no_line_pass)
         got = read_matrix(tmp_path / "m", fmt)
         assert_same_bits(got, want)
         assert got.strides == want.strides
@@ -925,7 +928,7 @@ class TestBlockReaderAgainstFloat:
         want = write_tokens(tmp_path / "m", tokens, fmt, width=4)
         monkeypatch.setattr(textread, "_READ_MIN", 64)     # few tokens a block: all go to float()
         monkeypatch.setattr(textread, "_READ_MAX", 64)
-        monkeypatch.setattr(matio, "_read_lines", no_loadtxt)
+        monkeypatch.setattr(matio, "_read_lines", no_line_pass)
         assert_same_bits(read_matrix(tmp_path / "m", fmt), want)
 
     def test_unsure_values_come_from_float(self, tmp_path, monkeypatch, fmt):
@@ -941,10 +944,10 @@ class TestBlockReaderAgainstFloat:
         monkeypatch.setattr(textread, "_scale", every_third_unsure)
         monkeypatch.setattr(textread, "_READ_MIN", 64)
         monkeypatch.setattr(textread, "_READ_MAX", 64)
-        monkeypatch.setattr(matio, "_read_lines", no_loadtxt)
+        monkeypatch.setattr(matio, "_read_lines", no_line_pass)
         assert_same_bits(read_matrix(tmp_path / "m", fmt), want)
 
-    def test_all_unsure_sends_the_file_to_loadtxt(self, tmp_path, monkeypatch, fmt):
+    def test_all_unsure_sends_the_file_to_the_line_pass(self, tmp_path, monkeypatch, fmt):
         scale = textread._scale
         monkeypatch.setattr(textread, "_scale", lambda n, p: (scale(n, p)[0] * np.nan, n >= 0))
         want = write_tokens(tmp_path / "m", READER_TOKENS, fmt)
@@ -1029,18 +1032,6 @@ def test_matrix_market_pipe_read(tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("fmt, data, message", [
-    ("csv", b"1,2\n3,x\n", "line 2: non-numeric token 'x'"),
-    ("csv", b"1,2\n3\n", "line 2: expected 2 fields, got 1"),
-    ("matrix_market_dense", f"{matio._MM_BANNER}\n2 1\n1\nx\n".encode(),
-     "line 4: non-numeric token 'x'"),
-])
-def test_bad_pipe_names_its_line(tmp_path, fmt, data, message):
-    with pytest.raises(ParseError, match=f"pipe: {message}$"):
-        read_through_pipe(tmp_path, data, fmt)
-
-
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("fmt, name", [("csv", name) for name in sorted(CSV_ERRORS)]
                          + [("matrix_market_dense", name) for name in sorted(MM_ERRORS)])
 def test_every_bad_pipe_reads_as_its_file(tmp_path, fmt, name):
@@ -1067,7 +1058,7 @@ def test_long_matrix_market_header_keeps_the_block_route(tmp_path, monkeypatch, 
     head += b"%" + b"c" * (textread._HEAD - 3 + cut - len(head)) + eol
     path = tmp_path / "long.mtx"
     path.write_bytes(head + comment * 150 + body)      # about 20 KB of header
-    monkeypatch.setattr(matio, "_read_lines", no_loadtxt)
+    monkeypatch.setattr(matio, "_read_lines", no_line_pass)
     assert_same_bits(read_matrix(path), m)
 
 
@@ -1120,7 +1111,7 @@ def test_benchmark_inputs_take_the_block_route(tmp_path, monkeypatch, seed, name
     else:
         m = gen_graph_similarity(gen_uniform(300, 2, seed))
     write_matrix(m, tmp_path / name)
-    monkeypatch.setattr(matio, "_read_lines", no_loadtxt)
+    monkeypatch.setattr(matio, "_read_lines", no_line_pass)
     assert_same_bits(read_matrix(tmp_path / name), m)
 
 

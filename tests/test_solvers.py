@@ -28,10 +28,12 @@ from nlrm import (
     tangent_project_dense,
     tap_solve,
 )
+from nlrm import linalg
 from nlrm.instrument import record_ops
 from nlrm.linalg import apply_sign_convention, matmul
 from nlrm.rng import random_uniform
 from nlrm.solvers import _NMF_EPS, METHODS, _hals_clamped_step, _hals_update, _nmf_solve
+from test_linalg import spy_numpy_qr
 from test_projections import complement_cases, touches_full_size
 
 
@@ -423,6 +425,75 @@ def test_symmetric_truncation_keeps_old_bits():
             for g, w in zip(got, old_eigh_truncation(a, r)):
                 assert g.flags.c_contiguous and g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
+
+
+class TestCholeskyQrSteps:
+    """TAP's tangent QRs run CholeskyQR2 where their inputs allow it; the same
+    run with Householder QRs alone is the oracle."""
+
+    @pytest.mark.parametrize("name", ["graph-300", "uniform-200"])
+    def test_errors_match_householder_only_run(self, monkeypatch, name):
+        a = {"graph-300": lambda: gen_graph_similarity(gen_uniform(300, 2, 54)),
+             "uniform-200": lambda: gen_uniform(200, 200, 0)}[name]()
+        cfg = SolverConfig(rank=10, max_iter=40, rel_change_tol=1e-300)
+        householder = spy_numpy_qr(monkeypatch)
+        got = tap_solve(a, cfg).trace.rel_errors
+        if name == "graph-300":
+            assert householder == []
+        else:   # QR inputs with a condition number near 1e12: a Cholesky fails every step
+            assert len(householder) >= len(got) - 1
+        monkeypatch.setattr(linalg, "_cholesky_qr2", lambda q: None)
+        want = tap_solve(a, cfg).trace.rel_errors
+        assert len(got) == len(want) == 40
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestSymmetricGramRoute:
+    """An exactly symmetric input takes the top-r Gram route where
+    ``GRAM_PARTIAL_RATIO * r <= n``; its own ``eigh`` runs above that rank and
+    in TAP's dense fallback."""
+
+    @staticmethod
+    def spy_eigh_svd(monkeypatch):
+        calls = []
+        real = linalg._eigh_svd
+
+        def counted(a, rank=None, complement=False):
+            calls.append((a.shape, complement))
+            return real(a, rank, complement)
+
+        monkeypatch.setattr(linalg, "_eigh_svd", counted)
+        return calls
+
+    @staticmethod
+    def graph(n, seed):
+        a = gen_graph_similarity(gen_uniform(n, 2, seed))
+        assert np.array_equal(a, a.T)
+        return a
+
+    @pytest.mark.parametrize("solve", [tap_solve, ap_solve])
+    def test_low_rank_never_calls_eigh_of_the_input(self, monkeypatch, solve):
+        a = self.graph(400, 55)
+        assert linalg.GRAM_PARTIAL_RATIO * 5 <= len(a)
+        calls = self.spy_eigh_svd(monkeypatch)
+        res = solve(a, SolverConfig(rank=5, max_iter=6, rel_change_tol=1e-300))
+        assert len(res.trace) == 6 and calls == []
+
+    @pytest.mark.parametrize("solve", [tap_solve, ap_solve])
+    def test_high_rank_calls_it_on_every_full_size_truncation(self, monkeypatch, solve):
+        a = self.graph(400, 55)
+        assert linalg.GRAM_PARTIAL_RATIO * 40 > len(a) >= 2 * 40
+        calls = self.spy_eigh_svd(monkeypatch)
+        res = solve(a, SolverConfig(rank=40, max_iter=6, rel_change_tol=1e-300))
+        assert len(res.trace) == 6
+        assert calls == [(a.shape, False)] * (1 if solve is tap_solve else 6)
+
+    def test_dense_fallback_calls_it_with_a_complement(self, monkeypatch):
+        a = self.graph(60, 56)
+        calls = self.spy_eigh_svd(monkeypatch)
+        res = tap_solve(a, SolverConfig(rank=40, max_iter=6, rel_change_tol=1e-300))
+        assert len(res.trace) == 6
+        assert calls == [(a.shape, True)] * 6
 
 
 class TestNmf:
