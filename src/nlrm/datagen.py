@@ -93,13 +93,15 @@ def gen_graph_similarity(points) -> np.ndarray:
             f"need at least 10 points (9th neighbor undefined), got {n}"
         )
     diffs = pts[:, None, :] - pts[None, :, :]
-    sq_dist = np.einsum("ijk,ijk->ij", diffs, diffs)
-    scale = np.sqrt(np.sort(sq_dist, axis=1)[:, 9])
+    a = np.einsum("ijk,ijk->ij", diffs, diffs)     # squared distances, made the result in place
+    del diffs                                       # so at most 3 n**2 floats live at once
+    scale = np.sqrt(np.partition(a, 9, axis=1)[:, 9])
     if (scale == 0.0).any():
         raise DomainError(
             "a point coincides with its 9th neighbor; local scale is zero"
         )
-    a = np.exp(-sq_dist / np.outer(scale, scale))
+    a /= -np.outer(scale, scale)                    # the bits of -a / outer: signs are exact
+    np.exp(a, out=a)
     np.fill_diagonal(a, 0.0)
     return a
 

@@ -3,19 +3,14 @@
 Two matrix formats are supported: headerless comma-separated values
 (row-major) and the MatrixMarket dense "array" format (column-major, as
 the format requires); a file's name picks its format unless the caller
-names one.  Values are written as ``'%.17g' % x`` gives them, so a read of
-a write reproduces every float64 bit-for-bit.  The writer computes that
-text for blocks of values in numpy: exactly, for the fixed-notation values
-(zeros and 1e-4 <= |x| < 1e17), and through one ``%`` call per block for
-the rest.
-
-The reader parses blocks of the file in numpy too (``nlrm.textread``) and
-gives every value the bits Python's ``float`` gives its token.  A file that
-holds any other token (spaces around a value, ``1_0``, non-ASCII digits, a
-bad token) or a ragged row is read again by one line pass for both formats,
-in which numpy calls ``float`` on each token and the line of the first bad
-one is named.  An input that cannot seek, such as a pipe, is read into
-memory once, so both routes can read it.
+names one.  This module writes and parses the MatrixMarket header and
+routes each file; ``nlrm.matrixtext``, imported on the first read or
+write, turns the numbers into text and back.  A file that it declines
+(spaces around a value, ``1_0``, non-ASCII digits, a bad token, a ragged
+row) is read again by one line pass for both formats, in which numpy
+calls ``float`` on each token and the line of the first bad one is named.
+An input that cannot seek, such as a pipe, is read into memory once, so
+both routes can read it.
 
 Result files are JSON with a versioned schema.  An output that replaces an
 existing regular file of the user's own is unlinked and created anew rather
@@ -28,7 +23,6 @@ import json
 import math
 import os
 import stat
-from fractions import Fraction
 
 import numpy as np
 
@@ -43,10 +37,12 @@ MATRIX_MARKET = "matrix_market_dense"
 _FORMATS = (CSV, MATRIX_MARKET)
 
 _MM_BANNER = "%%MatrixMarket matrix array real general"
+_LINE_BATCH = 8192              # tokens of '%.17g' a line-pass batch holds, about
 
 
 def write_matrix(m, path, format: str | None = None) -> None:
     """Write a matrix to ``path`` in ``format``, by default ``format_for_path(path)``."""
+    from . import matrixtext        # on first use: see its docstring
     m = as_matrix(m, "matrix")
     format = format_for_path(path) if format is None else format
     if 0 in m.shape:
@@ -63,102 +59,7 @@ def write_matrix(m, path, format: str | None = None) -> None:
         raise ParseError(f"unknown format {format!r}; expected one of {_FORMATS}")
     with open_output(path) as fh:
         fh.buffer.write(header)
-        for start in range(0, m.size, _BLOCK):
-            block = values.flat[start:start + _BLOCK]
-            seps = np.full(block.size, ord(","), np.uint64)
-            seps[per_line - 1 - start % per_line::per_line] = ord("\n")
-            fh.buffer.write(_format_block(block, seps))
-
-
-# '%.17g' text, a block of values at a time: what '%g' prints in fixed notation
-# (zeros and 1e-4 <= |x| < 1e17) is computed in numpy, other values go through '%'.
-_BLOCK = 8192                   # values per block: each temporary stays in cache
-_U = np.uint64
-
-
-def _split(a):
-    """Veltkamp's split: ``a == hi + lo`` with each half at most 26 bits wide."""
-    c = a * 134217729.0         # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_POW10 = np.array([float(10**k) for k in range(21)])       # exact doubles
-_POW10_HI, _POW10_LO = _split(_POW10)
-# x >= 10**e iff x >= _TENS[e + 4]: the least double at or above each power of ten
-_TENS = np.array([t if t >= Fraction(10) ** p else math.nextafter(t, math.inf)
-                  for p in range(-4, 18) for t in [float(Fraction(10) ** p)]])
-_ASCII4 = sum((np.arange(10000, dtype=_U) // _U(10**(3 - j)) % _U(10) + _U(48)) << _U(8 * j)
-              for j in range(4))                            # "%04d" % i as the low 4 bytes
-_FIRST = np.tril(np.full((33, 32), 255, np.uint8), -1).view(_U)  # row i: bytes 0..i-1 of a row
-_DOT, _MINUS = ((np.eye(33, 32, dtype=np.uint8) * ord(c)).view(_U) for c in ".-")  # c at byte i
-
-
-def _ascii8(x):
-    """Eight digits of each ``x < 10**8``, first digit in the lowest byte."""
-    hi = x // 10000
-    return _ASCII4.take(hi) | _ASCII4.take(x - hi * 10000) << _U(32)
-
-
-def _last_nonzero(z):
-    """Index of the last byte of eight digits ``z`` that is not "0", negative if none is."""
-    # each byte of z ^ "00000000" is at most 9, so rounding to float64 cannot reach the next
-    return (((z ^ _U(0x3030303030303030)).astype(np.float64).view(np.int64) >> 52) - 1023) >> 3
-
-
-def _format_block(v, seps):
-    """The bytes of ``'%.17g' % x`` and then byte ``sep``, for each ``x, sep`` in ``v, seps``."""
-    # each value gets a 32-byte row; bytes that are not text are 0 (or, from '%', spaces)
-    ax = np.abs(v)
-    fixed = (ax == 0) | (ax >= 1e-4) & (ax < 1e17)
-    if fixed.all():
-        out = _fixed_rows(v)
-    else:
-        out = np.zeros((v.size, 4), _U)
-        out[fixed] = _fixed_rows(v[fixed])
-        rest = tuple(v[~fixed].tolist())   # '%.17g' gives at most 24 bytes: pad them to 32
-        text = b"%-24.17g\0\0\0\0\0\0\0\0" * len(rest) % rest
-        out[~fixed] = np.frombuffer(text, _U).reshape(-1, 4)
-    out[:, 3] |= seps << _U(56)
-    return out.tobytes().translate(None, b"\0 ")     # drop what is not text
-
-
-def _fixed_rows(v):
-    """``_format_block``'s rows for zeros and ``1e-4 <= |x| < 1e17``, computed exactly.
-
-    ``x * 10**(16 - e) == hi + lo`` by Dekker's TwoProduct (numpy fuses no
-    operations); ``hi`` is an even integer, so ``hi + rint(lo)`` rounds half to even.
-    """
-    ax = np.abs(v)
-    zero = ax == 0
-    x = np.where(zero, 1.0, ax)
-    e = np.clip(np.floor(np.log10(x)), -4, 16).astype(np.intp)     # log10 may round across e
-    e -= x < _TENS.take(e + 4)
-    e += x >= _TENS.take(e + 5)
-    k = 16 - e
-    hi = x * _POW10.take(k)
-    x_hi, x_lo = _split(x)
-    p_hi, p_lo = _POW10_HI.take(k), _POW10_LO.take(k)
-    lo = ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
-    # d < 10**17: no double just below 1e-3, ..., 1e17 rounds up to that power at 17 digits
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    d[zero] = 0                 # with e = 0 this prints "0"
-    # bytes 3..23 hold "0000" and d's digits; a point at byte p shifts the rest right by one
-    head, lead = d // 10**8, d // 10**16
-    mid, tail = _ascii8(head - lead * 10**8), _ascii8(d - head * 10**8)
-    first = _ASCII4.take(lead) << _U(32) | _U(ord("0") << 24)
-    row = np.stack([first, mid, tail, np.zeros_like(mid)], 1)
-    shifted = row << _U(8)
-    shifted.ravel()[1:] |= row.ravel()[:-1] >> _U(56)
-    last = np.maximum(np.maximum(9 + _last_nonzero(tail), 1 + _last_nonzero(mid)), 0)
-    end = 9 + last                              # past the last nonzero digit, point included
-    p = 8 + e
-    begin = np.minimum(7, 7 + e)                # "0.000" for e = -4, the first digit for e >= 0
-    out = row & _FIRST.take(p, 0) & ~_FIRST.take(begin, 0)
-    out |= shifted & _FIRST.take(end, 0) & ~_FIRST.take(p + 1, 0)
-    out |= _DOT.take(np.where(end > p + 1, p, 32), 0)
-    out |= _MINUS.take(np.where(np.signbit(v), begin - 1, 32), 0)
-    return out
+        matrixtext.write_blocks(fh.buffer, values, per_line)
 
 
 def open_output(path):
@@ -203,7 +104,7 @@ def read_matrix(path, format: str | None = None) -> np.ndarray:
 
     ``format`` defaults to ``format_for_path(path)``; an explicit one wins.
     """
-    from . import textread          # on first use: see its docstring
+    from . import matrixtext        # on first use: see its docstring
 
     format = format_for_path(path) if format is None else format
     if format not in _FORMATS:
@@ -212,8 +113,8 @@ def read_matrix(path, format: str | None = None) -> np.ndarray:
         with _open_binary(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
             lineno, shape = (0, None) if format == CSV else _read_header(fh, path)
             start = fh.tell()
-            values = (textread.read_blocks(raw, csv=True) if shape is None
-                      else textread.read_body(raw, lineno, shape[0] * shape[1]))
+            values = (matrixtext.read_blocks(raw, csv=True) if shape is None
+                      else matrixtext.read_body(raw, lineno, shape[0] * shape[1]))
             if values is None:
                 fh.seek(start)
                 values = _read_lines(fh, path, lineno, shape)
@@ -283,7 +184,7 @@ def _read_lines(fh, path, lineno, shape):
     read again by ``_walk``, which raises the first error in line order.
     """
     chunks, width = [], None
-    while batch := fh.readlines(16 * _BLOCK):   # whole lines, about 8192 tokens of '%.17g'
+    while batch := fh.readlines(16 * _LINE_BATCH):     # whole lines
         values = None
         if shape is not None:
             values = _floats("".join(batch).split())
@@ -330,18 +231,14 @@ def _walk(batch, path, lineno, shape, width):
                 )
         else:
             fields = line.split()
-        values += [_parse_value(tok, path, lineno) for tok in fields]
+        for token in fields:
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: non-numeric token {token!r}") from None
+            if not math.isfinite(values[-1]):
+                raise ParseError(f"{path}: line {lineno}: non-finite value {token!r}")
     return np.array(values, dtype=np.float64)
-
-
-def _parse_value(token, path, lineno):
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"{path}: line {lineno}: non-numeric token {token!r}") from None
-    if not math.isfinite(value):
-        raise ParseError(f"{path}: line {lineno}: non-finite value {token!r}")
-    return value
 
 
 def result_record(method: str, rank: int, result) -> dict:

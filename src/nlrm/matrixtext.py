@@ -1,29 +1,130 @@
-"""Matrix text to float64 with the bits of Python's ``float``, a block at a time.
+"""Exact matrix text: float64 to ``'%.17g'`` text and back, a block at a time.
 
-A file is read in blocks cut after their last value separator, and one
+``matio`` imports this module on the first matrix read or write, so a
+process that touches no matrix file holds none of its tables.
+
+Writing gives each value the bytes of ``'%.17g' % x``.  Zeros and
+``1e-4 <= |x| < 1e17``, which ``%g`` prints in fixed notation, are computed
+in numpy: ``x * 10**(16 - e)`` is formed exactly by Dekker's TwoProduct and
+rounded half to even to 17 digits.  Other values take one ``%`` a block.
+
+Reading cuts a file into blocks after their last value separator, and one
 flatnonzero per block finds separators, points and exponent marks.  A
 token ``[+-]d*[.d*][(e|E)[+-]d{1,3}]`` of 1 to 23 digits whose digits make
 an integer ``n < 10**19`` becomes ``n``, read from three unaligned 8-byte
 words by Lemire's eight-digit SWAR, and a decimal exponent ``q``; then
 ``n * 10**q`` is rounded once from a double-double product.  Where that
-rounding is unsure, and for the other tokens of ``float``'s grammar, the
-value is ``float(token)``.  Any other token, a ragged CSV row or a wrong
-MatrixMarket count makes the readers return None, and ``matio`` then reads
-the file by its line pass, which gives every error its line-numbered
-message.
-
-``matio`` imports this module on its first read, so a process that reads
-no matrix file holds none of its tables or code.
+rounding is unsure, and for the rest of ``float``'s grammar, the value is
+``float(token)``, so a read of a write gives back every bit.  Any other
+token, a ragged CSV row or a wrong MatrixMarket count makes the readers
+return None, and ``matio`` then reads the file by its line pass.
 """
 
 import itertools
 import math
 import os
 import re
+from fractions import Fraction
 
 import numpy as np
 
-from .matio import _split
+_BLOCK = 8192                   # values written a block: each temporary stays in cache
+_U = np.uint64
+
+
+def _split(a):
+    """Veltkamp's split: ``a == hi + lo`` with each half at most 26 bits wide."""
+    c = a * 134217729.0         # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10**k) for k in range(21)])       # exact doubles
+_POW10_HI, _POW10_LO = _split(_POW10)
+# x >= 10**e iff x >= _TENS[e + 4]: the least double at or above each power of ten
+_TENS = np.array([t if t >= Fraction(10) ** p else math.nextafter(t, math.inf)
+                  for p in range(-4, 18) for t in [float(Fraction(10) ** p)]])
+_ASCII4 = sum((np.arange(10000, dtype=_U) // _U(10**(3 - j)) % _U(10) + _U(48)) << _U(8 * j)
+              for j in range(4))                            # "%04d" % i as the low 4 bytes
+_FIRST = np.tril(np.full((33, 32), 255, np.uint8), -1).view(_U)  # row i: bytes 0..i-1 of a row
+_DOT, _MINUS = ((np.eye(33, 32, dtype=np.uint8) * ord(c)).view(_U) for c in ".-")  # c at byte i
+
+
+def write_blocks(out, values, per_line):
+    """Write ``values`` in C order to binary file ``out``, ``per_line`` to a line."""
+    for start in range(0, values.size, _BLOCK):
+        block = values.flat[start:start + _BLOCK]
+        seps = np.full(block.size, ord(","), _U)
+        seps[per_line - 1 - start % per_line::per_line] = ord("\n")
+        out.write(_format_block(block, seps))
+
+
+def _ascii8(x):
+    """Eight digits of each ``x < 10**8``, first digit in the lowest byte."""
+    hi = x // 10000
+    return _ASCII4.take(hi) | _ASCII4.take(x - hi * 10000) << _U(32)
+
+
+def _last_nonzero(z):
+    """Index of the last byte of eight digits ``z`` that is not "0", negative if none is."""
+    # each byte of z ^ "00000000" is at most 9, so rounding to float64 cannot reach the next
+    return (((z ^ _U(0x3030303030303030)).astype(np.float64).view(np.int64) >> 52) - 1023) >> 3
+
+
+def _format_block(v, seps):
+    """The bytes of ``'%.17g' % x`` and then byte ``sep``, for each ``x, sep`` in ``v, seps``."""
+    # each value gets a 32-byte row; bytes that are not text are 0 (or, from '%', spaces)
+    ax = np.abs(v)
+    fixed = (ax == 0) | (ax >= 1e-4) & (ax < 1e17)
+    if fixed.all():
+        out = _fixed_rows(v)
+    else:
+        out = np.zeros((v.size, 4), _U)
+        out[fixed] = _fixed_rows(v[fixed])
+        rest = tuple(v[~fixed].tolist())   # '%.17g' gives at most 24 bytes: pad them to 32
+        text = b"%-24.17g\0\0\0\0\0\0\0\0" * len(rest) % rest
+        out[~fixed] = np.frombuffer(text, _U).reshape(-1, 4)
+    out[:, 3] |= seps << _U(56)
+    return out.tobytes().translate(None, b"\0 ")     # drop what is not text
+
+
+def _fixed_rows(v):
+    """``_format_block``'s rows for zeros and ``1e-4 <= |x| < 1e17``, computed exactly.
+
+    ``x * 10**(16 - e) == hi + lo`` by Dekker's TwoProduct (numpy fuses no
+    operations); ``hi`` is an even integer, so ``hi + rint(lo)`` rounds half to even.
+    """
+    ax = np.abs(v)
+    zero = ax == 0
+    x = np.where(zero, 1.0, ax)
+    e = np.clip(np.floor(np.log10(x)), -4, 16).astype(np.intp)     # log10 may round across e
+    e -= x < _TENS.take(e + 4)
+    e += x >= _TENS.take(e + 5)
+    k = 16 - e
+    hi = x * _POW10.take(k)
+    x_hi, x_lo = _split(x)
+    p_hi, p_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    lo = ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
+    # d < 10**17: no double just below 1e-3, ..., 1e17 rounds up to that power at 17 digits
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    d[zero] = 0                 # with e = 0 this prints "0"
+    # bytes 3..23 hold "0000" and d's digits; a point at byte p shifts the rest right by one
+    head, lead = d // 10**8, d // 10**16
+    mid, tail = _ascii8(head - lead * 10**8), _ascii8(d - head * 10**8)
+    first = _ASCII4.take(lead) << _U(32) | _U(ord("0") << 24)
+    row = np.stack([first, mid, tail, np.zeros_like(mid)], 1)
+    shifted = row << _U(8)
+    shifted.ravel()[1:] |= row.ravel()[:-1] >> _U(56)
+    last = np.maximum(np.maximum(9 + _last_nonzero(tail), 1 + _last_nonzero(mid)), 0)
+    end = 9 + last                              # past the last nonzero digit, point included
+    p = 8 + e
+    begin = np.minimum(7, 7 + e)                # "0.000" for e = -4, the first digit for e >= 0
+    out = row & _FIRST.take(p, 0) & ~_FIRST.take(begin, 0)
+    out |= shifted & _FIRST.take(end, 0) & ~_FIRST.take(p + 1, 0)
+    out |= _DOT.take(np.where(end > p + 1, p, 32), 0)
+    out |= _MINUS.take(np.where(np.signbit(v), begin - 1, 32), 0)
+    return out
+
 
 _EOL = re.compile(rb"\r\n|\r|\n")     # the line ends of text mode's universal newlines
 _HEAD = 1 << 13                 # bytes first searched for a MatrixMarket header's line ends

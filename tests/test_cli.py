@@ -1,6 +1,8 @@
 """Command-line surface: flows, exit codes, determinism, thin-shell parity."""
 
+import ast
 import gc
+import graphlib
 import hashlib
 import json
 import os
@@ -469,7 +471,7 @@ def test_import_and_solve_load_neither_scipy_nor_the_text_reader():
         "import sys, nlrm, nlrm.cli\n"
         "a = nlrm.gen_graph_similarity(nlrm.gen_uniform(60, 2, 1))\n"
         "nlrm.tap_solve(a, nlrm.SolverConfig(rank=4, max_iter=5))\n"
-        "print(sorted(m for m in ('scipy', 'nlrm.textread') if m in sys.modules))\n"
+        "print(sorted(m for m in ('scipy', 'nlrm.matrixtext') if m in sys.modules))\n"
     )
     assert run_python(code) == "[]"
 
@@ -478,6 +480,65 @@ def test_import_does_not_bind_lapack():
     # the top-r Gram eigensolve binds dsyevr on first use, not at import
     code = "import nlrm, nlrm.cli\nprint(nlrm.linalg._lapacke_dsyevr.cache_info().currsize)\n"
     assert run_python(code) == "0"
+
+
+def test_first_matrix_call_a_write_loads_the_codec_and_writes_oracle_bytes(tmp_path):
+    m = gen_uniform(3, 4, 5) - 0.5
+    m[0, :3] = 0.0, -0.0, 1e-300
+    m[2, 3] = -2.5e20
+    csv_path, mtx_path = str(tmp_path / "m.csv"), str(tmp_path / "m.mtx")
+    code = (
+        "import sys, numpy as np, nlrm\n"
+        f"m = np.array({m.tolist()!r})\n"
+        "before = 'nlrm.matrixtext' in sys.modules\n"
+        f"nlrm.write_matrix(m, {csv_path!r})\n"
+        f"nlrm.write_matrix(m, {mtx_path!r})\n"
+        "print(before, 'nlrm.matrixtext' in sys.modules)\n"
+    )
+    assert run_python(code) == "False True"
+    rows = "".join(",".join("%.17g" % x for x in row) + "\n" for row in m.tolist())
+    column_major = "".join("%.17g\n" % x for x in m.T.ravel().tolist())
+    assert Path(csv_path).read_text() == rows
+    assert Path(mtx_path).read_text() == (
+        "%%MatrixMarket matrix array real general\n3 4\n" + column_major
+    )
+
+
+def test_codec_imported_first_round_trips(tmp_path):
+    code = (
+        "import nlrm.matrixtext\n"
+        "import numpy as np\n"
+        "from nlrm import read_matrix, write_matrix\n"
+        "m = np.arange(1.0, 13.0).reshape(3, 4) / 7\n"
+        f"for path in ({str(tmp_path / 'm.csv')!r}, {str(tmp_path / 'm.mtx')!r}):\n"
+        "    write_matrix(m, path)\n"
+        "    print(read_matrix(path).tobytes() == m.tobytes())\n"
+    )
+    assert run_python(code).split() == ["True", "True"]
+
+
+PACKAGE_DIR = Path(cli.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_each_module_imports_alone(name):
+    # a module that works only after some other import fails here; cycles: the next test
+    assert run_python(f"import nlrm.{name}\nprint('ok')") == "ok"
+
+
+def test_package_imports_form_no_cycle():
+    # imports inside functions count too: a lazy import back into a module's importer is a cycle
+    graph = {}
+    for name in MODULES:
+        tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text(encoding="utf-8"))
+        graph[name] = {
+            target for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for target in ([node.module] if node.module else [a.name for a in node.names])
+            if target in MODULES
+        }
+    graphlib.TopologicalSorter(graph).prepare()     # raises CycleError on a cycle
 
 
 def run_python(code):

@@ -1,6 +1,7 @@
 """Generator determinism and structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,30 @@ class TestGenGraphSimilarity:
     def test_coincident_points_rejected(self):
         with pytest.raises(DomainError, match="local scale is zero$"):
             gen_graph_similarity(np.ones((10, 2)))
+
+    @pytest.mark.parametrize("n", [40, 400, 1000])
+    def test_same_bits_as_the_sorted_expression(self, n):
+        def sorted_expression(points):      # the generator before it worked in place
+            diffs = points[:, None, :] - points[None, :, :]
+            sq_dist = np.einsum("ijk,ijk->ij", diffs, diffs)
+            scale = np.sqrt(np.sort(sq_dist, axis=1)[:, 9])
+            a = np.exp(-sq_dist / np.outer(scale, scale))
+            np.fill_diagonal(a, 0.0)
+            return a
+
+        pts = gen_uniform(n, 2, n) * 5.0
+        pts[n // 2] = pts[n // 3]                   # a coincident pair: a zero distance off the diagonal
+        assert gen_graph_similarity(pts).tobytes() == sorted_expression(pts).tobytes()
+
+    def test_peak_memory_is_three_squares(self):
+        pts = gen_uniform(400, 2, 22)
+        tracemalloc.start()
+        try:
+            gen_graph_similarity(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 400**2 * 8
 
     def test_feeds_solver_and_stays_symmetric(self):
         from nlrm import SolverConfig, tap_solve

@@ -21,9 +21,10 @@ from nlrm import (
     read_matrix,
     write_matrix,
 )
-from nlrm import matio, textread
+from nlrm import matio, matrixtext
 from nlrm.cli import main
-from nlrm.matio import _BLOCK, format_for_path, read_trace, write_json
+from nlrm.matio import format_for_path, read_trace, write_json
+from nlrm.matrixtext import _BLOCK
 
 
 class TestCsv:
@@ -544,11 +545,11 @@ class TestBlockWriterAgainstOracle:
 
 
 def gather_scatter_format_block(v, seps):
-    """``matio._format_block`` as it ran before its all-fixed fast path."""
+    """``matrixtext._format_block`` as it ran before its all-fixed fast path."""
     ax = np.abs(v)
     fixed = (ax == 0) | (ax >= 1e-4) & (ax < 1e17)
     out = np.zeros((v.size, 4), np.uint64)
-    out[fixed] = matio._fixed_rows(v[fixed])
+    out[fixed] = matrixtext._fixed_rows(v[fixed])
     if not fixed.all():
         rest = tuple(v[~fixed].tolist())
         out[~fixed] = np.frombuffer(b"%-24.17g\0\0\0\0\0\0\0\0" * len(rest) % rest,
@@ -568,7 +569,7 @@ def test_block_bytes_as_before_whether_or_not_all_are_fixed(case):
         v = exponent_notation_values(rng, 1000)
     seps = np.full(v.size, ord(","), np.uint64)
     seps[99::100] = ord("\n")
-    got = matio._format_block(v, seps)
+    got = matrixtext._format_block(v, seps)
     assert got == gather_scatter_format_block(v, seps)
     assert got == b"".join(b"%.17g%c" % pair for pair in zip(v.tolist(), seps.tolist()))
 
@@ -915,8 +916,8 @@ class TestBlockReaderAgainstFloat:
     @pytest.mark.parametrize("read_size", [64, 256])
     def test_bits_of_every_token(self, tmp_path, monkeypatch, fmt, read_size):
         want = write_tokens(tmp_path / "m", READER_TOKENS, fmt)
-        monkeypatch.setattr(textread, "_READ_MIN", read_size)
-        monkeypatch.setattr(textread, "_READ_MAX", read_size)
+        monkeypatch.setattr(matrixtext, "_READ_MIN", read_size)
+        monkeypatch.setattr(matrixtext, "_READ_MAX", read_size)
         monkeypatch.setattr(matio, "_read_lines", no_line_pass)
         got = read_matrix(tmp_path / "m", fmt)
         assert_same_bits(got, want)
@@ -926,13 +927,13 @@ class TestBlockReaderAgainstFloat:
         tokens = hard_cases()
         assert len(tokens) >= 40
         want = write_tokens(tmp_path / "m", tokens, fmt, width=4)
-        monkeypatch.setattr(textread, "_READ_MIN", 64)     # few tokens a block: all go to float()
-        monkeypatch.setattr(textread, "_READ_MAX", 64)
+        monkeypatch.setattr(matrixtext, "_READ_MIN", 64)     # few tokens a block: all go to float()
+        monkeypatch.setattr(matrixtext, "_READ_MAX", 64)
         monkeypatch.setattr(matio, "_read_lines", no_line_pass)
         assert_same_bits(read_matrix(tmp_path / "m", fmt), want)
 
     def test_unsure_values_come_from_float(self, tmp_path, monkeypatch, fmt):
-        scale = textread._scale
+        scale = matrixtext._scale
 
         def every_third_unsure(n, p):
             values, unsure = scale(n, p)
@@ -941,23 +942,23 @@ class TestBlockReaderAgainstFloat:
             return values, unsure
 
         want = write_tokens(tmp_path / "m", READER_TOKENS, fmt)
-        monkeypatch.setattr(textread, "_scale", every_third_unsure)
-        monkeypatch.setattr(textread, "_READ_MIN", 64)
-        monkeypatch.setattr(textread, "_READ_MAX", 64)
+        monkeypatch.setattr(matrixtext, "_scale", every_third_unsure)
+        monkeypatch.setattr(matrixtext, "_READ_MIN", 64)
+        monkeypatch.setattr(matrixtext, "_READ_MAX", 64)
         monkeypatch.setattr(matio, "_read_lines", no_line_pass)
         assert_same_bits(read_matrix(tmp_path / "m", fmt), want)
 
     def test_all_unsure_sends_the_file_to_the_line_pass(self, tmp_path, monkeypatch, fmt):
-        scale = textread._scale
-        monkeypatch.setattr(textread, "_scale", lambda n, p: (scale(n, p)[0] * np.nan, n >= 0))
+        scale = matrixtext._scale
+        monkeypatch.setattr(matrixtext, "_scale", lambda n, p: (scale(n, p)[0] * np.nan, n >= 0))
         want = write_tokens(tmp_path / "m", READER_TOKENS, fmt)
         assert_same_bits(read_matrix(tmp_path / "m", fmt), want)
 
     def test_token_longer_than_a_read(self, tmp_path, monkeypatch, fmt):
         tokens = ["0." + "3" * 100, "1.5", "-2", "0.25"] * 7
         want = write_tokens(tmp_path / "m", tokens, fmt)
-        monkeypatch.setattr(textread, "_READ_MIN", 64)
-        monkeypatch.setattr(textread, "_READ_MAX", 64)
+        monkeypatch.setattr(matrixtext, "_READ_MIN", 64)
+        monkeypatch.setattr(matrixtext, "_READ_MAX", 64)
         assert_same_bits(read_matrix(tmp_path / "m", fmt), want)
 
 
@@ -976,8 +977,8 @@ def test_control_bytes_in_a_matrix_market_body(tmp_path, body):
 ])
 def test_small_reads_match_oracle_on_generated_files(tmp_path, monkeypatch, fmt, make_text):
     # rows, blank lines and bad tokens that cross block ends keep the oracle's outcome
-    monkeypatch.setattr(textread, "_READ_MIN", 16)
-    monkeypatch.setattr(textread, "_READ_MAX", 16)
+    monkeypatch.setattr(matrixtext, "_READ_MIN", 16)
+    monkeypatch.setattr(matrixtext, "_READ_MAX", 16)
     rng = np.random.default_rng(2026)
     mismatches = []
     for case in range(300):
@@ -1052,10 +1053,10 @@ def test_long_matrix_market_header_keeps_the_block_route(tmp_path, monkeypatch, 
     banner, body = (tmp_path / "m.mtx").read_bytes().split(b"\n", 1)
     eol = eol.encode()
     comment = b"%" + b"c" * (81 - len(eol)) + eol
-    head = banner + eol + comment * ((textread._HEAD - len(banner)) // len(comment) - 1)
+    head = banner + eol + comment * ((matrixtext._HEAD - len(banner)) // len(comment) - 1)
     # a line whose end starts at byte _HEAD - 2 + cut: with cut 1 and CRLF ends,
     # the "\r\n" straddles the end of the first read
-    head += b"%" + b"c" * (textread._HEAD - 3 + cut - len(head)) + eol
+    head += b"%" + b"c" * (matrixtext._HEAD - 3 + cut - len(head)) + eol
     path = tmp_path / "long.mtx"
     path.write_bytes(head + comment * 150 + body)      # about 20 KB of header
     monkeypatch.setattr(matio, "_read_lines", no_line_pass)
@@ -1066,10 +1067,10 @@ def spy_block_route(monkeypatch):
     """What the block reader returns, call by call, as ``read_matrix`` runs."""
     returned = []
     for name in ("read_blocks", "read_body"):
-        def spy(*args, real=getattr(textread, name), **kwargs):
+        def spy(*args, real=getattr(matrixtext, name), **kwargs):
             returned.append(real(*args, **kwargs))
             return returned[-1]
-        monkeypatch.setattr(textread, name, spy)
+        monkeypatch.setattr(matrixtext, name, spy)
     return returned
 
 
@@ -1121,7 +1122,7 @@ def test_benchmark_inputs_take_the_block_route(tmp_path, monkeypatch, seed, name
 ])
 def test_line_pass_batches_match_oracle_on_generated_files(tmp_path, monkeypatch, fmt, make_text):
     # batches of one or two lines: errors, blank lines and ragged rows in any batch
-    monkeypatch.setattr(matio, "_BLOCK", 1)
+    monkeypatch.setattr(matio, "_LINE_BATCH", 1)
     rng = np.random.default_rng(2028)
     mismatches = []
     for case in range(300):
