@@ -14,12 +14,7 @@ benchmark harness are included; see the ``nlrm`` command-line tool.
 """
 
 from .bench import BenchCell, BenchReport, run_bench, table1_grid
-from .datagen import (
-    gen_graph_similarity,
-    gen_orthogonal_decomposable,
-    gen_separable_case1,
-    gen_uniform,
-)
+from .datagen import gen_graph_similarity, gen_orthogonal_decomposable, gen_uniform
 from .errors import (
     DomainError,
     InsufficientDataError,
@@ -89,7 +84,6 @@ __all__ = [
     "frobenius_norm",
     "gen_graph_similarity",
     "gen_orthogonal_decomposable",
-    "gen_separable_case1",
     "gen_uniform",
     "householder_qr",
     "matmul",

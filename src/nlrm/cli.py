@@ -15,12 +15,7 @@ import sys
 
 from . import bench as bench_mod
 from . import matio
-from .datagen import (
-    gen_graph_similarity,
-    gen_orthogonal_decomposable,
-    gen_separable_case1,
-    gen_uniform,
-)
+from .datagen import gen_graph_similarity, gen_orthogonal_decomposable, gen_uniform
 from .errors import NlrmError, NumericError
 from .solvers import METHODS, SolverConfig, contraction_rate_estimate, solve
 
@@ -64,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--family",
         required=True,
-        choices=["uniform", "separable_case1", "orthogonal_decomposable", "graph_similarity"],
+        choices=["uniform", "orthogonal_decomposable", "graph_similarity"],
     )
     p_gen.add_argument("--out", required=True, help="output matrix file (.csv or .mtx)")
     p_gen.add_argument("--m", type=int, default=200)
@@ -72,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--sigma", type=float, default=0.0)
     p_gen.add_argument("--points", help="point-cloud file (n x 2 CSV) for graph_similarity")
-    p_gen.add_argument("--out-b", help="also write the left factor (separable_case1)")
-    p_gen.add_argument("--out-c", help="also write the right factor (separable_case1)")
     p_gen.set_defaults(func=cmd_gen)
 
     p_diag = sub.add_parser("diag", help="estimate the contraction rate of a trace")
@@ -146,16 +139,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if (args.out_b or args.out_c) and args.family != "separable_case1":
-        return _usage_error("--out-b and --out-c apply to --family separable_case1 only")
     if args.family == "uniform":
         matrix = gen_uniform(args.m, args.n, args.seed)
-    elif args.family == "separable_case1":
-        matrix, b_true, c_true = gen_separable_case1(args.sigma, args.seed)
-        if args.out_b:
-            matio.write_matrix(b_true, args.out_b)
-        if args.out_c:
-            matio.write_matrix(c_true, args.out_c)
     elif args.family == "orthogonal_decomposable":
         matrix = gen_orthogonal_decomposable(args.sigma, args.seed)
     else:

@@ -4,7 +4,6 @@ All randomness is drawn from the counter-based stream in :mod:`nlrm.rng`,
 so a (family, seed) pair pins the dataset bit-for-bit on every platform.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -21,31 +20,6 @@ def gen_uniform(m: int, n: int, seed: int) -> np.ndarray:
     return uniform_matrix(m, n, seed)
 
 
-def gen_separable_case1(sigma: float, seed: int):
-    """Separable 200 x 210 matrix with an identity block and midpoint columns.
-
-    ``B`` is 200 x 20 uniform; ``C = [I_20, H']`` where the 190 columns of
-    ``H'`` hold all index pairs (i < j, lexicographic) with two entries of
-    0.5, so columns 21..210 of ``B @ C`` are midpoints of columns of B.
-    Noise with level ``sigma`` pushes each midpoint column away from the
-    mean column of B; the first 20 columns stay noise-free.
-
-    Returns ``(a, b_true, c_true)``.
-    """
-    _check_sigma(sigma)
-    b = uniform_matrix(200, 20, seed)
-    hprime = np.zeros((20, 190))
-    for col, (i, j) in enumerate(itertools.combinations(range(20), 2)):
-        hprime[i, col] = 0.5
-        hprime[j, col] = 0.5
-    c = np.hstack([np.eye(20), hprime])
-    a = matmul(b, c)
-    if sigma > 0:
-        mean_col = b.mean(axis=1)
-        a[:, 20:] += sigma * (a[:, 20:] - mean_col[:, None])
-    return a, b, c
-
-
 def gen_orthogonal_decomposable(sigma: float, seed: int) -> np.ndarray:
     """100 x 30 product of an orthogonal nonnegative basis and uniform weights.
 
@@ -54,18 +28,13 @@ def gen_orthogonal_decomposable(sigma: float, seed: int) -> np.ndarray:
     ``B.T @ B`` exactly diagonal.  Returns ``B @ C + sigma * noise`` with
     ``C`` 10 x 30 uniform and uniform [0, 1) noise.
     """
-    _check_sigma(sigma)
+    if not 0 <= sigma < math.inf:  # NaN fails the chained comparison too
+        raise DomainError(f"sigma must be finite and >= 0, got {sigma}")
     b, c = _orthogonal_factors(seed)
     a = matmul(b, c)
     if sigma > 0:
         a += sigma * random_uniform(seed, 100 * 30, offset=100 + 10 * 30).reshape(100, 30)
     return a
-
-
-def _check_sigma(sigma):
-    # NaN fails the chained comparison too
-    if not 0 <= sigma < math.inf:
-        raise DomainError(f"sigma must be finite and >= 0, got {sigma}")
 
 
 def _orthogonal_factors(seed: int):

@@ -21,6 +21,7 @@ name.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -387,7 +388,7 @@ def _iterate(a, cfg, first, step, on_iterate=None):
         warnings.warn(
             "input matrix has negative entries; proceeding anyway",
             RuntimeWarning,
-            stacklevel=4,  # the caller of the public solver
+            stacklevel=_outside_stacklevel(),
         )
     norm_a = frobenius_norm(a)
     if norm_a == 0.0:
@@ -412,6 +413,15 @@ def _iterate(a, cfg, first, step, on_iterate=None):
             break
         prev = err
     return a, norm_a, trace
+
+
+def _outside_stacklevel():
+    """The ``stacklevel`` that names the caller's first frame outside this
+    module, whether it called a solver directly or through :func:`solve`."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 METHODS = ("tap", "ap", "mu", "hals")

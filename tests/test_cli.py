@@ -6,6 +6,7 @@ import graphlib
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -199,15 +200,16 @@ class TestGen:
         assert rc == 0
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
-    def test_separable_rank20_residual(self, tmp_path, capsys):
-        rc = main(["gen", "--family", "separable_case1", "--sigma", "0",
-                   "--seed", "2", "--out", str(tmp_path / "sep.csv")])
+    def test_orthogonal_decomposable_exact_through_approx(self, tmp_path, capsys):
+        rc = main(["gen", "--family", "orthogonal_decomposable", "--sigma", "0",
+                   "--seed", "2", "--out", str(tmp_path / "od.csv")])
         assert rc == 0
-        rc = main(["approx", str(tmp_path / "sep.csv"), "--rank", "20",
+        rc = main(["approx", str(tmp_path / "od.csv"), "--rank", "10",
                    "--trace", str(tmp_path / "r.json")])
         assert rc == 0
         record = json.loads((tmp_path / "r.json").read_text())
         assert record["rel_error_x"] < 1e-8
+        assert record["iters"] == 1
 
     def test_zero_size_usage_error(self, tmp_path, capsys):
         rc = main(["gen", "--family", "uniform", "--m", "0", "--out", str(tmp_path / "u.csv")])
@@ -215,7 +217,7 @@ class TestGen:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "u.csv").exists()
 
-    @pytest.mark.parametrize("family", ["separable_case1", "orthogonal_decomposable"])
+    @pytest.mark.parametrize("family", ["orthogonal_decomposable"])
     @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
     def test_bad_sigma_usage_error(self, tmp_path, capsys, family, sigma):
         rc = main(["gen", "--family", family, "--sigma", sigma,
@@ -229,27 +231,16 @@ class TestGen:
                    "--out", str(tmp_path / "u.csv")])
         assert rc == 0
 
-    def test_separable_factors_written(self, tmp_path):
-        from nlrm import gen_separable_case1, read_matrix
-
-        b_path, c_path = tmp_path / "b.csv", tmp_path / "c.mtx"
-        rc = main(["gen", "--family", "separable_case1", "--sigma", "0.1", "--seed", "2",
-                   "--out", str(tmp_path / "sep.csv"),
-                   "--out-b", str(b_path), "--out-c", str(c_path)])
-        assert rc == 0
-        a, b, c = gen_separable_case1(0.1, 2)
-        assert np.array_equal(read_matrix(b_path), b)
-        assert c_path.read_text().startswith("%%MatrixMarket")
-        assert np.array_equal(read_matrix(c_path), c)
-        assert np.array_equal(read_matrix(tmp_path / "sep.csv"), a)
-
-    @pytest.mark.parametrize("family", ["uniform", "orthogonal_decomposable"])
-    @pytest.mark.parametrize("flag", ["--out-b", "--out-c"])
-    def test_factor_outputs_need_separable_family(self, tmp_path, capsys, family, flag):
-        rc = main(["gen", "--family", family, "--m", "3", "--n", "3",
-                   "--out", str(tmp_path / "g.csv"), flag, str(tmp_path / "f.csv")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--family", "separable_case1"), ("--out-b", "b.csv"), ("--out-c", "c.csv")],
+    )
+    def test_removed_family_and_factor_options_rejected(self, tmp_path, monkeypatch,
+                                                        flag, value):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["gen", "--family", "uniform", "--m", "3", "--n", "3",
+                   "--out", "g.csv", flag, value])
         assert rc == 2
-        assert "separable_case1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_graph_similarity_needs_points(self, tmp_path, capsys):
@@ -436,6 +427,21 @@ class TestUsage:
         src = tmp_path / "a.csv"
         write_rank2_matrix(src)
         assert main(["approx", str(src), "--method", "magic", "--rank", "1"]) == 2
+
+    def test_readme_commands_parse(self):
+        # parsed, not run: a README example that names a removed family or flag fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True)
+                 for line in block.replace("\\\n", " ").splitlines()]
+        commands = [argv[1:] for argv in lines if argv[:1] == ["nlrm"]]
+        assert {argv[0] for argv in commands} == {"approx", "bench", "gen", "diag"}
+        parser = cli.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: nlrm {shlex.join(argv)}")
 
 
 class TestErrorMapping:

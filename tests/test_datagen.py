@@ -1,6 +1,5 @@
 """Generator determinism and structure."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +11,6 @@ from nlrm import (
     ShapeError,
     gen_graph_similarity,
     gen_orthogonal_decomposable,
-    gen_separable_case1,
     gen_uniform,
     project_fixed_rank,
 )
@@ -42,57 +40,6 @@ class TestGenUniform:
     def test_negative_draw_count_rejected(self):
         with pytest.raises(ValueError, match="^count and offset must be nonnegative$"):
             random_uint64(0, -1)
-
-
-class TestGenSeparableCase1:
-    def test_noise_free_product(self):
-        a, b, c = gen_separable_case1(0.0, 8)
-        assert a.shape == (200, 210)
-        assert b.shape == (200, 20) and c.shape == (20, 210)
-        np.testing.assert_array_equal(a, b @ c)
-        s = np.linalg.svd(a, compute_uv=False)
-        assert s[19] > 1e-6 * s[0]
-        assert s[20] < 1e-10 * s[0]
-
-    def test_combination_columns(self):
-        _, _, c = gen_separable_case1(0.0, 9)
-        assert c.shape[1] == 20 + math.comb(20, 2)
-        np.testing.assert_array_equal(c[:, :20], np.eye(20))
-        tail = c[:, 20:]
-        assert ((tail == 0.0) | (tail == 0.5)).all()
-        np.testing.assert_array_equal((tail == 0.5).sum(axis=0), np.full(190, 2))
-        np.testing.assert_allclose(tail.sum(axis=0), np.ones(190))
-
-    def test_noise_moves_midpoints_outward(self):
-        clean, b, c = gen_separable_case1(0.0, 10)
-        noisy, _, _ = gen_separable_case1(0.25, 10)
-        np.testing.assert_array_equal(noisy[:, :20], clean[:, :20])
-        mean_col = b.mean(axis=1)[:, None]
-        np.testing.assert_allclose(
-            noisy[:, 20:], clean[:, 20:] + 0.25 * (clean[:, 20:] - mean_col),
-            rtol=0, atol=1e-15,
-        )
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(DomainError):
-            gen_separable_case1(-0.1, 0)
-
-    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
-    def test_non_finite_sigma_rejected(self, sigma):
-        with pytest.raises(DomainError):
-            gen_separable_case1(sigma, 0)
-
-    def test_deterministic(self):
-        a1, _, _ = gen_separable_case1(0.3, 30)
-        a2, _, _ = gen_separable_case1(0.3, 30)
-        assert np.array_equal(a1, a2)
-
-    def test_rank20_solver_residual(self):
-        from nlrm import SolverConfig, tap_solve
-
-        a, _, _ = gen_separable_case1(0.0, 31)
-        res = tap_solve(a, SolverConfig(rank=20))
-        assert res.rel_error_x < 1e-8
 
 
 class TestGenOrthogonalDecomposable:

@@ -103,6 +103,22 @@ class TestApSolve:
         with pytest.warns(RuntimeWarning):
             ap_solve(a, SolverConfig(rank=2, max_iter=20))
 
+    @pytest.mark.parametrize("run", [
+        tap_solve,
+        nmf_hals_solve,
+        lambda a, cfg: solve("tap", a, cfg),
+    ], ids=["tap_solve", "nmf_hals_solve", "solve"])
+    def test_negative_input_warning_names_the_caller(self, run):
+        a = np.array([[1.0, -2.0], [3.0, 4.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(a, SolverConfig(rank=1, max_iter=5, seed=0))
+        assert [str(w.message) for w in caught] == [
+            "input matrix has negative entries; proceeding anyway"
+        ]
+        assert caught[0].category is RuntimeWarning
+        assert caught[0].filename == __file__
+
     def test_nonfinite_input_rejected(self):
         a = gen_uniform(4, 4, 4)
         a[0, 0] = np.inf
