@@ -49,6 +49,13 @@ from .rng import random_uniform
 # nonnegative inputs would spin until max_iter without this floor.
 FIXED_POINT_TOL = 1e-12
 
+# Relative errors at or above this are taken from ||A||^2 - 2<A, X> + ||X||^2,
+# two dot products that write nothing, in place of ||A - X||.  The expansion's
+# relative deviation grows like eps ||A||^2 / ||A - X||^2: about 1e-14 at
+# errors of 0.2-0.85, 8e-11 at 1e-3 and 5e-2 at 1e-7 (ROADMAP.md, Findings),
+# so smaller errors, FIXED_POINT_TOL's among them, keep the direct formula.
+_EXPANDED_ERROR_MIN = 0.1
+
 _LOG_FLOOR = 1e-15  # error differences at or below this are noise, not signal
 
 
@@ -87,7 +94,7 @@ class SolverConfig:
 class TraceRecord(NamedTuple):
     iteration: int
     rel_error: float
-    seconds: float      # cumulative wall time over iteration bodies
+    seconds: float      # cumulative wall time of the iterations: step, error and min
     min_entry: float    # smallest entry of the current iterate
 
 
@@ -380,8 +387,11 @@ def _iterate(a, cfg, first, step, on_iterate=None):
     ``step(a, k)`` returns the dense iterate of iteration ``k``: the
     initialization at ``k == first``, one update after that.  Each
     iteration is timed and traced; the run ends on the stopping rule, which
-    marks the trace ``converged``, or else at ``cfg.max_iter``.  Returns the
-    validated input, its Frobenius norm and the trace.
+    marks the trace ``converged``, or else at ``cfg.max_iter``.  A record's
+    error comes from two dot products while the previous record's was at
+    least ``_EXPANDED_ERROR_MIN``, and from ``A - X`` when it or the
+    expansion falls below that or is not finite.  Returns the validated
+    input, its Frobenius norm and the trace.
     """
     a = as_matrix(a, "input matrix")
     if (a < 0).any():
@@ -396,6 +406,7 @@ def _iterate(a, cfg, first, step, on_iterate=None):
     if norm_a == math.inf:
         raise NumericError("input matrix norm overflows float64 (relative error undefined)")
 
+    sq_norm_a = float(np.vdot(a, a))
     eps = float(np.finfo(np.float64).eps)
     trace = IterationTrace()
     elapsed = 0.0
@@ -403,9 +414,15 @@ def _iterate(a, cfg, first, step, on_iterate=None):
     for k in range(first, cfg.max_iter + 1):
         tic = perf_counter()
         dense = step(a, k)
-        err = frobenius_norm(a - dense) / norm_a
+        err = math.nan
+        if prev >= _EXPANDED_ERROR_MIN:
+            sq = sq_norm_a - 2.0 * float(np.vdot(a, dense)) + float(np.vdot(dense, dense))
+            err = math.sqrt(max(sq, 0.0)) / norm_a
+        if not _EXPANDED_ERROR_MIN <= err < math.inf:
+            err = frobenius_norm(a - dense) / norm_a
+        min_entry = float(dense.min())
         elapsed += perf_counter() - tic
-        trace.append(TraceRecord(k, err, elapsed, float(dense.min())))
+        trace.append(TraceRecord(k, err, elapsed, min_entry))
         if on_iterate is not None:
             on_iterate(k, dense)
         if err < FIXED_POINT_TOL or abs(err - prev) / max(err, eps) < cfg.rel_change_tol:

@@ -28,11 +28,18 @@ from nlrm import (
     tangent_project_dense,
     tap_solve,
 )
-from nlrm import linalg
+from nlrm import linalg, solvers
 from nlrm.instrument import record_ops
 from nlrm.linalg import apply_sign_convention, matmul
 from nlrm.rng import random_uniform
-from nlrm.solvers import _NMF_EPS, METHODS, _hals_clamped_step, _hals_update, _nmf_solve
+from nlrm.solvers import (
+    _NMF_EPS,
+    METHODS,
+    _hals_clamped_step,
+    _hals_update,
+    _iterate,
+    _nmf_solve,
+)
 from test_linalg import spy_numpy_qr
 from test_projections import complement_cases, touches_full_size
 
@@ -656,6 +663,124 @@ class TestHalsAgainstOracle:
         _hals_clamped_step(x, w, s_jj, p)
         assert_same_bits(x, want)
         assert np.signbit(x[0])
+
+
+def traced_iterates(monkeypatch, method, a, cfg):
+    """``method``'s trace on ``a`` and the dense iterate of each of its records:
+    TAP's and AP's through ``on_iterate``, MU's and HALS's as ``b @ c`` before
+    the first update and after each one."""
+    dense = []
+    if method in ("tap", "ap"):
+        run = tap_solve if method == "tap" else ap_solve
+        trace = run(a, cfg, on_iterate=lambda k, x, y: dense.append(x.copy())).trace
+        return trace, dense
+
+    def recording(update):
+        def run(a_mat, b, c):
+            if not dense:
+                dense.append(matmul(b, c))
+            update(a_mat, b, c)
+            dense.append(matmul(b, c))
+        return run
+
+    nmf_solve = solvers._nmf_solve
+    monkeypatch.setattr(solvers, "_nmf_solve",
+                        lambda a, cfg, update: nmf_solve(a, cfg, recording(update)))
+    return solve(method, a, cfg).trace, dense
+
+
+def direct_errors(a, dense):
+    return [frobenius_norm(a - x) / frobenius_norm(a) for x in dense]
+
+
+def error_cases():
+    graph = lambda n, seed: gen_graph_similarity(gen_uniform(n, 2, seed))
+    return {
+        "graph-300-r160": (graph(300, 3), 160),   # TAP's dense fallback
+        "graph-400-r20": (graph(400, 4), 20),
+        "uniform-200-r10": (gen_uniform(200, 200, 5), 10),
+        "uniform-200-r40": (gen_uniform(200, 200, 6), 40),
+    }
+
+
+class TestErrorEvaluation:
+    """Trace errors come from ``||A||^2 - 2<A, X> + ||X||^2`` while they are
+    at least 0.1, and from ``||A - X||`` below that.  Exact fits keep stopping
+    on FIXED_POINT_TOL after one iteration through the direct formula:
+    ``TestApSolve::test_fixed_point_one_iteration``,
+    ``TestTapSolve::test_fixed_point_one_iteration`` and, through the CLI,
+    ``TestGen::test_orthogonal_decomposable_exact_through_approx``."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", sorted(error_cases()))
+    def test_expanded_errors_match_direct_formula(self, monkeypatch, name, method):
+        a, r = error_cases()[name]
+        cfg = SolverConfig(rank=r, max_iter=12, rel_change_tol=1e-300, seed=1)
+        trace, dense = traced_iterates(monkeypatch, method, a, cfg)
+        assert len(dense) == len(trace) == 13 - (method in ("tap", "ap"))
+        assert min(trace.rel_errors) >= 0.1
+        np.testing.assert_allclose(trace.rel_errors, direct_errors(a, dense), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("method", ["tap", "ap"])
+    def test_low_noise_errors_are_direct_bits(self, monkeypatch, method):
+        a = low_rank_nonnegative(40, 30, 4, 21) + 1e-5 * gen_uniform(40, 30, 23)
+        cfg = SolverConfig(rank=4, max_iter=10, rel_change_tol=1e-300)
+        trace, dense = traced_iterates(monkeypatch, method, a, cfg)
+        assert max(trace.rel_errors) < 1e-5
+        assert_same_bits(trace.rel_errors, direct_errors(a, dense))
+
+    @pytest.mark.parametrize("method", ["mu", "hals"])
+    def test_nmf_errors_crossing_the_cut(self, monkeypatch, method):
+        a = low_rank_nonnegative(40, 30, 4, 21)
+        cfg = SolverConfig(rank=4, max_iter=200, rel_change_tol=1e-300, seed=0)
+        trace, dense = traced_iterates(monkeypatch, method, a, cfg)
+        got, want = np.array(trace.rel_errors), np.array(direct_errors(a, dense))
+        small = got < 0.1
+        assert 0 < small.sum() < len(got)
+        np.testing.assert_allclose(got[~small], want[~small], rtol=1e-13, atol=0)
+        assert_same_bits(got[small], want[small])
+
+    def test_overflowing_expansion_takes_the_direct_formula(self):
+        # ||A||^2 = 1.2e308 is finite, but 2<A, X> overflows for X = s A, s >= 0.75
+        a = gen_uniform(8, 6, 3)
+        a *= np.sqrt(1.2e308 / np.vdot(a, a))
+        scales = (0.8, 0.78, 0.76)
+        cfg = SolverConfig(rank=1, max_iter=3, rel_change_tol=1e-300)
+        _, _, trace = _iterate(a, cfg, 1, lambda a, k: a * scales[k - 1])
+        want = [frobenius_norm(a - a * s) / frobenius_norm(a) for s in scales]
+        assert min(want) >= 0.1
+        assert_same_bits(trace.rel_errors, want)
+
+    def test_no_difference_inside_the_loop(self, monkeypatch):
+        a = gen_graph_similarity(gen_uniform(400, 2, 1))
+        events = []
+        norm = solvers.frobenius_norm
+        monkeypatch.setattr(solvers, "frobenius_norm",
+                            lambda arr: events.append(("norm", arr.shape)) or norm(arr))
+        res = tap_solve(a, SolverConfig(rank=8, max_iter=10, rel_change_tol=1e-300),
+                        on_iterate=lambda k, x, y: events.append(("iterate", k)))
+        assert 0.8 < res.rel_error_x < 0.9
+        # ||A|| before the loop and rel_error_y's ||A - Y|| after it, nothing between
+        assert events == ([("norm", a.shape)] + [("iterate", k) for k in range(1, 11)]
+                          + [("norm", a.shape)])
+
+    def test_seconds_cover_the_min(self, monkeypatch):
+        clock = [0.0]
+        monkeypatch.setattr(solvers, "perf_counter", lambda: clock[0])
+
+        class SlowMin(np.ndarray):
+            def min(self, *args, **kwargs):
+                clock[0] += 1.0
+                return super().min(*args, **kwargs)
+
+        def step(a, k):
+            clock[0] += 0.25
+            return (a * 0.5).view(SlowMin)
+
+        # the error repeats, so the relative-change rule stops the run at k = 2
+        cfg = SolverConfig(rank=1, max_iter=3, rel_change_tol=1e-300)
+        _, _, trace = _iterate(gen_uniform(8, 6, 3), cfg, 1, step)
+        assert [rec.seconds for rec in trace.records] == [1.25, 2.5]
 
 
 def geometric_trace(ratio=0.5, length=80):
