@@ -693,14 +693,12 @@ def direct_errors(a, dense):
     return [frobenius_norm(a - x) / frobenius_norm(a) for x in dense]
 
 
-def error_cases():
-    graph = lambda n, seed: gen_graph_similarity(gen_uniform(n, 2, seed))
-    return {
-        "graph-300-r160": (graph(300, 3), 160),   # TAP's dense fallback
-        "graph-400-r20": (graph(400, 4), 20),
-        "uniform-200-r10": (gen_uniform(200, 200, 5), 10),
-        "uniform-200-r40": (gen_uniform(200, 200, 6), 40),
-    }
+ERROR_CASES = {  # name -> (input, rank), every error of every method >= 0.1
+    "graph-300-r160": (lambda: gen_graph_similarity(gen_uniform(300, 2, 3)), 160),  # TAP fallback
+    "graph-400-r20": (lambda: gen_graph_similarity(gen_uniform(400, 2, 4)), 20),
+    "uniform-200-r10": (lambda: gen_uniform(200, 200, 5), 10),
+    "uniform-200-r40": (lambda: gen_uniform(200, 200, 6), 40),
+}
 
 
 class TestErrorEvaluation:
@@ -712,9 +710,10 @@ class TestErrorEvaluation:
     ``TestGen::test_orthogonal_decomposable_exact_through_approx``."""
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("name", sorted(error_cases()))
+    @pytest.mark.parametrize("name", sorted(ERROR_CASES))
     def test_expanded_errors_match_direct_formula(self, monkeypatch, name, method):
-        a, r = error_cases()[name]
+        make, r = ERROR_CASES[name]
+        a = make()
         cfg = SolverConfig(rank=r, max_iter=12, rel_change_tol=1e-300, seed=1)
         trace, dense = traced_iterates(monkeypatch, method, a, cfg)
         assert len(dense) == len(trace) == 13 - (method in ("tap", "ap"))
