@@ -3,14 +3,15 @@
 Two matrix formats are supported: headerless comma-separated values
 (row-major) and the MatrixMarket dense "array" format (column-major, as
 the format requires); a file's name picks its format unless the caller
-names one.  This module writes and parses the MatrixMarket header and
-routes each file; ``nlrm.matrixtext``, imported on the first read or
-write, turns the numbers into text and back.  A file that it declines
-(spaces around a value, ``1_0``, non-ASCII digits, a bad token, a ragged
-row) is read again by one line pass for both formats, in which numpy
-calls ``float`` on each token and the line of the first bad one is named.
-An input that cannot seek, such as a pipe, is read into memory once, so
-both routes can read it.
+names one.  This module writes the MatrixMarket header, reads it once to
+find the byte where the numbers start, and routes each file;
+``nlrm.matrixtext``, imported on the first read or write, turns the
+numbers into text and back.  A file that it declines (spaces around a
+value, ``1_0``, non-ASCII digits, a bad token, a ragged row) is read
+again by one line pass for both formats, in which numpy calls ``float``
+on each token and the line of the first bad one is named.  An input that
+cannot seek, such as a pipe, is read into memory once, so both routes
+can read it.
 
 Result files are JSON with a versioned schema.  An output that replaces an
 existing regular file of the user's own is unlinked and created anew rather
@@ -110,11 +111,12 @@ def read_matrix(path, format: str | None = None) -> np.ndarray:
     if format not in _FORMATS:
         raise ParseError(f"unknown format {format!r}; expected one of {_FORMATS}")
     try:
-        with _open_binary(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
-            lineno, shape = (0, None) if format == CSV else _read_header(fh, path)
+        # newline="" splits lines as text mode does but keeps their ends, so bytes can be counted
+        with _open_binary(path) as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
+            lineno, shape, body = (0, None, 0) if format == CSV else _read_header(fh, path)
             start = fh.tell()
-            values = (matrixtext.read_blocks(raw, csv=True) if shape is None
-                      else matrixtext.read_body(raw, lineno, shape[0] * shape[1]))
+            raw.seek(body)
+            values = matrixtext.read_blocks(raw, None if shape is None else shape[0] * shape[1])
             if values is None:
                 fh.seek(start)
                 values = _read_lines(fh, path, lineno, shape)
@@ -139,7 +141,8 @@ def _open_binary(path):
 
 
 def _read_header(fh, path):
-    """The MatrixMarket header at the start of ``fh``: its number of lines and ``(rows, cols)``."""
+    """The MatrixMarket header at the start of ``fh``, a text file that keeps
+    its line ends: its number of lines, ``(rows, cols)`` and length in bytes."""
     first = fh.readline()
     if not first:
         raise ParseError(f"{path}: empty file")
@@ -156,23 +159,24 @@ def _read_header(fh, path):
     if symmetry != "general":
         raise ParseError(f"{path}: line 1: unsupported symmetry {symmetry!r}")
     # skip "%" comment lines; the first other line is the size line
+    body = len(first.encode())
     for lineno, size_line in enumerate(iter(fh.readline, ""), start=2):
+        body += len(size_line.encode())
         if not size_line.lstrip().startswith("%"):
             break
     else:
         raise ParseError(f"{path}: missing size line")
     size_tokens = size_line.split()
     if len(size_tokens) != 2:
-        raise ParseError(
-            f"{path}: line {lineno}: size line must be 'rows cols', got {size_line!r}"
-        )
+        shown = size_line.replace("\r\n", "\n").replace("\r", "\n")    # as text mode reads it
+        raise ParseError(f"{path}: line {lineno}: size line must be 'rows cols', got {shown!r}")
     try:
         rows, cols = int(size_tokens[0]), int(size_tokens[1])
     except ValueError:
         raise ParseError(f"{path}: line {lineno}: non-integer size entry") from None
     if rows < 1 or cols < 1:
         raise ParseError(f"{path}: line {lineno}: dimensions must be positive")
-    return lineno, (rows, cols)
+    return lineno, (rows, cols), body
 
 
 def _read_lines(fh, path, lineno, shape):

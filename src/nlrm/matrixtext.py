@@ -8,19 +8,20 @@ Writing gives each value the bytes of ``'%.17g' % x``.  Zeros and
 in numpy: ``x * 10**(16 - e)`` is formed exactly by Dekker's TwoProduct and
 rounded half to even to 17 digits.  Other values take one ``%`` a block.
 
-Reading cuts a file into blocks after their last value separator, and one
-flatnonzero per block finds separators, points and exponent marks.  A
-token ``[+-]d*[.d*][(e|E)[+-]d{1,3}]`` of 1 to 23 digits whose digits make
-an integer ``n < 10**19`` becomes ``n``, read from three unaligned 8-byte
-words by Lemire's eight-digit SWAR, and a decimal exponent ``q``; then
-``n * 10**q`` is rounded once from a double-double product.  Where that
-rounding is unsure, and for the rest of ``float``'s grammar, the value is
-``float(token)``, so a read of a write gives back every bit.  Any other
-token, a ragged CSV row or a wrong MatrixMarket count makes the readers
-return None, and ``matio`` then reads the file by its line pass.
+Reading takes only numbers, from where the file stands (``matio`` seeks
+past a MatrixMarket header).  It cuts the rest into blocks after their last
+value separator, and one flatnonzero per block finds separators, points and
+exponent marks.  A token ``[+-]d*[.d*][(e|E)[+-]d{1,3}]`` of 1 to 23 digits
+whose digits make an integer ``n < 10**19`` becomes ``n``, read from three
+unaligned 8-byte words by Lemire's eight-digit SWAR, and a decimal exponent
+``q``; then ``n * 10**q`` is rounded once from a double-double product.
+Where that rounding is unsure, and for the rest of ``float``'s grammar, the
+value is ``float(token)``, so a read of a write gives back every bit.  Any
+other token, a ragged CSV row or a wrong MatrixMarket count makes
+``read_blocks`` return None, and ``matio`` then reads the file by its line
+pass.
 """
 
-import itertools
 import math
 import os
 import re
@@ -126,24 +127,6 @@ def _fixed_rows(v):
     return out
 
 
-_EOL = re.compile(rb"\r\n|\r|\n")     # the line ends of text mode's universal newlines
-_HEAD = 1 << 13                 # bytes first searched for a MatrixMarket header's line ends
-
-
-def read_body(raw, lines, count):
-    """The ``count`` values after the first ``lines`` lines of binary file ``raw``, or None."""
-    raw.seek(0)
-    head = raw.read(_HEAD)
-    # search the whole buffer each time, so a "\r\n" split between reads is one line end
-    while len(ends := [m.end() for m in itertools.islice(_EOL.finditer(head), lines)]) < lines:
-        if not (more := raw.read(len(head))):      # twice the buffer, or the file ends
-            return None
-        head += more
-    raw.seek(ends[-1])
-    values = read_blocks(raw, csv=False, count=count)
-    return None if values is None or values.size != count else values
-
-
 _PAD = 32                       # zero bytes before and after a block in its buffer
 _READ_MIN, _READ_MAX = 1 << 13, 1 << 18     # bytes read at a time: a 32nd of the file, within these
 _Q_MIN, _Q_MAX = -307, 289      # n * 10**q is normal and finite for every n < 10**19
@@ -218,14 +201,16 @@ def _not_digits(x, mask):
     return check != mask
 
 
-def read_blocks(fh, csv, count=None):
+def read_blocks(fh, count=None):
     """The values in the rest of binary file ``fh``, or None for the slower route.
 
-    CSV gives a ``(rows, width)`` array, MatrixMarket a flat one of at most
-    ``count`` values.  None means a token outside ``float``'s grammar or
-    longer than a read, a ragged CSV row, too many MatrixMarket values, too
-    many tokens for ``float`` or no value at all.
+    Without ``count`` the rest is CSV, read as a ``(rows, width)`` array;
+    with it, a MatrixMarket body of exactly ``count`` values, read as a flat
+    array.  None means a token outside ``float``'s grammar or longer than a
+    read, a ragged CSV row, another number of MatrixMarket values, too many
+    tokens for ``float`` or no value at all.
     """
+    csv = count is None
     here = fh.tell()
     size = fh.seek(0, os.SEEK_END) - here      # also for an in-memory buffer, which has no fileno
     fh.seek(here)
@@ -273,7 +258,7 @@ def read_blocks(fh, csv, count=None):
         total += values.size
         buf[_PAD:_PAD + end - cut] = buf[cut:end]
         end = _PAD + end - cut
-    if not total or in_line:
+    if not total or in_line or not csv and total != count:
         return None
     out.resize(total, refcheck=False)
     return out.reshape(-1, width) if csv else out

@@ -73,9 +73,7 @@ def project_fixed_rank(a: np.ndarray, rank: int, symmetric: bool = False,
 
 def project_nonnegative(a: np.ndarray) -> np.ndarray:
     """Entrywise clamp at zero; nearest nonnegative matrix in Frobenius norm."""
-    # against a broadcast zero row numpy 2.4 clamps about twice as fast as against
-    # the scalar 0.0, with the same bits, signed zeros included (ROADMAP.md, Findings)
-    return np.maximum(a, np.zeros(a.shape[-1]))
+    return np.maximum(a, 0.0)
 
 
 def tangent_project_dense(

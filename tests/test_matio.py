@@ -684,6 +684,8 @@ MM_ERRORS = {
     "bad_token_after_crlf_and_cr": MM_HEADER + "2 2\r\n1\r\n\r2\rx\n4\n",
     "comment_in_body": MM_HEADER + "1 1\n% late comment\n1\n",
     "bad_size_line": MM_HEADER + "2\n1\n2\n",
+    "bad_size_line_after_crlf": MM_HEADER.replace("\n", "\r\n") + "% c\r\n2 2 2\r\n1\r\n",
+    "bad_size_line_after_cr": MM_HEADER.replace("\n", "\r") + "% c\r\r2\r1\r2\r",
     "missing_size_line": MM_HEADER + "% only comments\n",
     "non_integer_size": MM_HEADER + "2 x\n1\n",
     "zero_size": MM_HEADER + "0 2\n",
@@ -1053,10 +1055,11 @@ def test_long_matrix_market_header_keeps_the_block_route(tmp_path, monkeypatch, 
     banner, body = (tmp_path / "m.mtx").read_bytes().split(b"\n", 1)
     eol = eol.encode()
     comment = b"%" + b"c" * (81 - len(eol)) + eol
-    head = banner + eol + comment * ((matrixtext._HEAD - len(banner)) // len(comment) - 1)
-    # a line whose end starts at byte _HEAD - 2 + cut: with cut 1 and CRLF ends,
+    read = 8192                 # the bytes a text wrapper reads at a time
+    head = banner + eol + comment * ((read - len(banner)) // len(comment) - 1)
+    # a line whose end starts at byte read - 2 + cut: with cut 1 and CRLF ends,
     # the "\r\n" straddles the end of the first read
-    head += b"%" + b"c" * (matrixtext._HEAD - 3 + cut - len(head)) + eol
+    head += b"%" + b"c" * (read - 3 + cut - len(head)) + eol
     path = tmp_path / "long.mtx"
     path.write_bytes(head + comment * 150 + body)      # about 20 KB of header
     monkeypatch.setattr(matio, "_read_lines", no_line_pass)
@@ -1066,7 +1069,7 @@ def test_long_matrix_market_header_keeps_the_block_route(tmp_path, monkeypatch, 
 def spy_block_route(monkeypatch):
     """What the block reader returns, call by call, as ``read_matrix`` runs."""
     returned = []
-    for name in ("read_blocks", "read_body"):
+    for name in ("read_blocks",):
         def spy(*args, real=getattr(matrixtext, name), **kwargs):
             returned.append(real(*args, **kwargs))
             return returned[-1]
@@ -1101,6 +1104,20 @@ def test_line_pass_reads_floats_bits(tmp_path, monkeypatch, kind, fmt):
     got = read_matrix(path, fmt)
     assert returned and returned[-1] is None      # the line pass read the file
     assert_same_bits(got, in_write_order(np.array([float(t) for t in tokens]), shape, fmt))
+
+
+def test_header_length_is_counted_in_bytes(tmp_path, monkeypatch):
+    # each "é", "è" or "û" is two bytes: a body that started at the header's length in
+    # characters would begin 4 bytes early, inside the size line, and hold 8 values, not 6
+    m = gen_uniform(3, 2, 13)
+    lines = [MM_HEADER.strip(), "% café, crème brûlée", "3 2", *map(repr, m.T.ravel().tolist())]
+    path = tmp_path / "cafe.mtx"
+    path.write_bytes("\r".join(lines).encode())
+    returned = spy_block_route(monkeypatch)
+    got = read_matrix(path)
+    assert len(returned) == 1 and returned[0] is not None      # the block route read the file
+    assert_same_bits(got, oracle_read_matrix_market(path))
+    assert_same_bits(got, m)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
